@@ -195,8 +195,24 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _serve_multi(args) -> int:
-    """Multi-model serving: route a mixed stream through the router."""
+def _serve_tenants(args) -> list[tuple[str, str]] | None:
+    """``(name, benchmark)`` per tenant: each ``--model NAME=BENCHMARK``, or
+    the positional benchmark as the only tenant.  ``None`` after logging a
+    malformed flag."""
+    if not args.model:
+        return [(args.benchmark, args.benchmark)]
+    tenants = []
+    for spec in args.model:
+        name, sep, benchmark = spec.partition("=")
+        if not sep or not name or not benchmark:
+            log.error(f"--model wants NAME=BENCHMARK, got {spec!r}")
+            return None
+        tenants.append((name, benchmark))
+    return tenants
+
+
+def _serve_router(args, models) -> int:
+    """In-process serving: route a stream through a Router or AsyncRouter."""
     import numpy as np
 
     from repro.harness.experiments.common import sdgc_config
@@ -204,13 +220,6 @@ def _serve_multi(args) -> int:
     from repro.serve import AsyncRouter, ModelRegistry, Router
     from repro.serve.bench import _split_requests, poisson_interarrivals
 
-    models: list[tuple[str, str]] = []
-    for spec in args.model:
-        name, sep, benchmark = spec.partition("=")
-        if not sep or not name or not benchmark:
-            log.error(f"--model wants NAME=BENCHMARK, got {spec!r}")
-            return 2
-        models.append((name, benchmark))
     budget_bytes = (
         int(args.memory_budget_mb * 1024 * 1024)
         if args.memory_budget_mb is not None
@@ -228,7 +237,7 @@ def _serve_multi(args) -> int:
         net = get_benchmark(benchmark)
         overrides = {} if args.threshold is None else {"threshold_layer": args.threshold}
         cfg = sdgc_config(net.num_layers, **overrides)
-        registry.register(
+        session = registry.register(
             name, net, config=cfg, warm=True, tracer=tracer,
             warm_state=args.warm_state,
             centroid_reuse=args.centroid_reuse, reuse_tolerance=args.reuse_tolerance,
@@ -236,6 +245,9 @@ def _serve_multi(args) -> int:
             slo=args.slo,
             qos=qos_map.get(name),
         )
+        if args.warm_state is not None:
+            log.info(f"  [{name}] booted warm from {args.warm_state} in "
+                     f"{session.warmup_seconds * 1e3:.1f} ms")
         streams[name] = _split_requests(
             np.asarray(get_input(benchmark, args.requests * args.request_cols, args.seed)),
             args.request_cols,
@@ -252,37 +264,53 @@ def _serve_multi(args) -> int:
             for y0 in s[offset : offset + chunk]:
                 mixed.append((name, y0))
         offset += chunk
+    interarrivals = None
+    if args.arrival_rate is not None:
+        interarrivals = poisson_interarrivals(len(mixed), args.arrival_rate, args.seed)
     if args.async_transport:
         router = AsyncRouter(
             registry, max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3,
             queue_limit=args.queue_limit, on_full=args.on_full,
         )
-        interarrivals = None
-        if args.arrival_rate is not None:
-            interarrivals = poisson_interarrivals(
-                len(mixed), args.arrival_rate, args.seed
-            )
-        report = router.serve(iter(mixed), interarrivals=interarrivals)
     else:
-        if args.arrival_rate is not None:
-            log.warning("--arrival-rate needs --async-transport for multi-model; ignored")
         router = Router(
             registry, max_batch=args.max_batch, max_wait_s=args.max_wait_ms / 1e3,
             queue_limit=args.queue_limit,
         )
-        report = router.serve(iter(mixed))
+    report = router.serve(iter(mixed), interarrivals=interarrivals)
     summary = report.summary()
     transport = "async" if args.async_transport else "sync"
     log.info(f"served {summary['served']}/{summary['requests']} requests "
              f"({summary['rejected']} rejected, status={summary['status']}) "
-             f"across {len(models)} models [{transport}] "
+             f"on {', '.join(name for name, _ in models)} [{transport}] "
              f"in {summary['wall_seconds'] * 1e3:.1f} ms")
-    for name, per in summary["models"].items():
-        lat = per["latency_seconds"]
-        p50 = f"{lat['p50'] * 1e3:7.2f} ms" if lat is not None else "   n/a"
+    for name, tenant in report.per_model.items():
+        per = tenant.summary()
+        session = registry.get(name)
         log.info(f"  [{name}] {per['served']}/{per['requests']} served "
-                 f"(status={per['status']})  "
-                 f"{per['columns_per_second']:9.1f} col/s   p50 {p50}")
+                 f"({per['failed']} failed, status={per['status']})")
+        log.info(f"  [{name}] throughput {per['requests_per_second']:9.1f} req/s   "
+                 f"{per['columns_per_second']:9.1f} col/s   "
+                 f"busy {per['overlap_fraction']:.0%} of wall "
+                 f"({per['exec_seconds'] * 1e3:.1f} ms executing, "
+                 f"{per['arrival_seconds'] * 1e3:.1f} ms arrival gaps)")
+        lat = per["latency_seconds"]
+        if lat is not None:
+            log.info(f"  [{name}] latency    p50 {lat['p50'] * 1e3:7.2f} ms   "
+                     f"p95 {lat['p95'] * 1e3:7.2f} ms   max {lat['p100'] * 1e3:7.2f} ms")
+        batcher = router.lane(name).stats()
+        log.info(f"  [{name}] batching   {batcher['batches']} blocks, "
+                 f"mean fill {batcher['mean_fill']:.0%} of {batcher['max_batch']}")
+        if session.reuse is not None:
+            cache = session.reuse.stats()
+            outcomes = batcher.get("reuse_blocks", {})
+            log.info(f"  [{name}] reuse      {cache['hits']} hits / {cache['misses']} "
+                     f"misses / {sum(cache['invalidations'].values())} invalidations "
+                     f"(blocks: {outcomes or 'none'})")
+        stages = session.stats()["stage_seconds"]
+        log.info(f"  [{name}] stages     " + "   ".join(
+            f"{stage} {seconds * 1e3:.1f} ms" for stage, seconds in stages.items()
+        ))
     if report.slo:
         for name, slo in report.slo.items():
             est = slo["latency_estimate_s"]
@@ -313,7 +341,7 @@ def _serve_multi(args) -> int:
     return 0
 
 
-def _serve_fleet(args) -> int:
+def _serve_fleet(args, tenants) -> int:
     """Multi-process serving: shard tenant streams across N workers."""
     import numpy as np
 
@@ -321,16 +349,6 @@ def _serve_fleet(args) -> int:
     from repro.serve.bench import _split_requests
     from repro.serve.fleet import FleetDispatcher, TenantSpec
 
-    tenants: list[tuple[str, str]] = []
-    if args.model:
-        for spec in args.model:
-            name, sep, benchmark = spec.partition("=")
-            if not sep or not name or not benchmark:
-                log.error(f"--model wants NAME=BENCHMARK, got {spec!r}")
-                return 2
-            tenants.append((name, benchmark))
-    else:
-        tenants.append((args.benchmark, args.benchmark))
     if args.arrival_rate is not None:
         log.warning("--arrival-rate is not supported with --workers; ignored")
     try:
@@ -413,135 +431,28 @@ def _serve_fleet(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.harness.experiments.common import sdgc_config
-    from repro.harness.workloads import get_benchmark, get_input
-    from repro.serve import AsyncInferenceServer, EngineSession, InferenceServer
-    from repro.serve.bench import _split_requests, poisson_interarrivals
-
-    if args.workers:
-        if args.benchmark is None and not args.model:
-            log.error("serve --workers needs a benchmark or --model NAME=BENCHMARK")
-            return 2
-        return _serve_fleet(args)
-    if args.model:
-        return _serve_multi(args)
-    if args.benchmark is None:
+    if args.benchmark is None and not args.model:
         log.error("serve needs a benchmark, or at least one --model NAME=BENCHMARK")
         return 2
-    if getattr(args, "qos", None):
-        log.warning("--qos applies to --model / --workers tenants; ignored "
-                    "for single-benchmark serving (one tenant, no contention)")
-    net = get_benchmark(args.benchmark)
-    overrides = {} if args.threshold is None else {"threshold_layer": args.threshold}
-    cfg = sdgc_config(net.num_layers, **overrides)
-    stream = _split_requests(
-        get_input(args.benchmark, args.requests * args.request_cols, args.seed),
-        args.request_cols,
-    )
-    interarrivals = None
-    if args.arrival_rate is not None:
-        interarrivals = poisson_interarrivals(len(stream), args.arrival_rate, args.seed)
-    tracer, registry = _make_obs(args)
-    session = EngineSession(
-        net, cfg, tracer=tracer, metrics=registry,
-        warm=args.warm_state is None,
-        centroid_reuse=args.centroid_reuse, reuse_tolerance=args.reuse_tolerance,
-        revise_ratio=args.revise_ratio,
-    )
-    if args.warm_state is not None:
-        manifest = session.load_warm_state(args.warm_state)
-        log.info(f"booted warm from {args.warm_state} "
-                 f"({manifest['dense_views']} dense / {manifest['ell_views']} ELL "
-                 f"views, {manifest['cache_entries']} cache fills) in "
-                 f"{session.warmup_seconds * 1e3:.1f} ms")
-    if args.async_transport:
-        server = AsyncInferenceServer(
-            session,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
-            queue_limit=args.queue_limit,
-            on_full=args.on_full,
-        )
-    else:
-        server = InferenceServer(
-            session,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1e3,
-            queue_limit=args.queue_limit,
-        )
-    slo_tracker = None
-    if args.slo:
-        from repro.obs import SloPolicy, SloTracker
-
-        slo_tracker = SloTracker(
-            SloPolicy.parse(args.slo),
-            metrics=getattr(session, "scoped", session.metrics),
-            name=args.benchmark,
-        )
-        # every resolved ticket (failures included) feeds the tracker
-        server.batcher.on_resolve = slo_tracker.record_ticket
-    obs_server = _start_obs_endpoint(
-        args,
-        session.metrics,
-        slo_provider=(
-            (lambda: {args.benchmark: slo_tracker.report().to_json()})
-            if slo_tracker is not None
-            else None
-        ),
-    )
-    report = server.serve(iter(stream), interarrivals=interarrivals)
-    summary = report.summary()
-    transport = "async" if args.async_transport else "sync"
-    log.info(f"served {summary['served']}/{summary['requests']} requests "
-             f"({summary['rejected']} rejected, status={summary['status']}) "
-             f"on {args.benchmark} [{transport}] "
-             f"in {summary['wall_seconds'] * 1e3:.1f} ms")
-    log.info(f"  throughput   {summary['requests_per_second']:9.1f} req/s   "
-             f"{summary['columns_per_second']:9.1f} col/s")
-    lat = summary["latency_seconds"]
-    if lat is not None:
-        log.info(f"  latency      p50 {lat['p50'] * 1e3:7.2f} ms   "
-                 f"p95 {lat['p95'] * 1e3:7.2f} ms   max {lat['p100'] * 1e3:7.2f} ms")
-    if args.async_transport:
-        log.info(f"  overlap      {summary['overlap_fraction']:.0%} of wall time busy "
-                 f"({summary['exec_seconds'] * 1e3:.1f} ms executing, "
-                 f"{summary['arrival_seconds'] * 1e3:.1f} ms arrival gaps, "
-                 f"{summary['failed']} failed)")
-    batcher = server.batcher.stats()
-    log.info(f"  batching     {batcher['batches']} blocks, "
-             f"mean fill {batcher['mean_fill']:.0%} of {batcher['max_batch']}")
-    if session.reuse is not None:
-        cache = session.reuse.stats()
-        outcomes = batcher.get("reuse_blocks", {})
-        log.info(f"  reuse        {cache['hits']} hits / {cache['misses']} misses / "
-                 f"{sum(cache['invalidations'].values())} invalidations "
-                 f"(blocks: {outcomes or 'none'})")
-    stage = session.stats()["stage_seconds"]
-    for name, seconds in stage.items():
-        log.info(f"  {name:18s} {seconds * 1e3:9.1f} ms")
-    if slo_tracker is not None:
-        slo = slo_tracker.report()
-        est = slo.latency_estimate_s
-        est_text = f"{est * 1e3:.2f} ms" if est is not None else "n/a"
-        log.info(f"  SLO          {slo.policy.describe()}: "
-                 f"p{slo.policy.quantile * 100:g}≈{est_text}, "
-                 f"burn {slo.burn_rate:.2f}, compliant={slo.compliant}")
-    # the session always keeps a registry; --metrics asks for the exposition
-    if args.metrics:
-        log.info(session.metrics.to_prometheus().rstrip("\n"))
-    if tracer is not None:
-        path = tracer.write_chrome(args.trace)
-        log.info(f"wrote Chrome trace to {path} ({len(tracer)} spans)")
-    _finish_obs_endpoint(args, obs_server)
-    return 0
+    tenants = _serve_tenants(args)
+    if tenants is None:
+        return 2
+    if args.workers:
+        return _serve_fleet(args, tenants)
+    return _serve_router(args, tenants)
 
 
 def _cmd_warmup(args) -> int:
     """Save a warm-state artifact, or verify one loads (``--load``)."""
     import dataclasses
 
-    from repro.serve import EngineSession, InferenceServer
-    from repro.serve.bench import _shape_stream, _split_requests, _tier_workload
+    from repro.serve import EngineSession
+    from repro.serve.bench import (
+        _serve_solo,
+        _shape_stream,
+        _split_requests,
+        _tier_workload,
+    )
 
     if (args.save is None) == (args.load is None):
         log.error("warmup wants exactly one of --save PATH or --load PATH")
@@ -577,11 +488,7 @@ def _cmd_warmup(args) -> int:
         # priming traffic teaches the session what warmup alone cannot:
         # centroid-cache fills with staleness baselines, per-bucket costs
         shaped = _shape_stream(pool, "repeat", args.max_batch)
-        server = InferenceServer(
-            session, max_batch=args.max_batch, max_wait_s=60.0,
-            queue_limit=prime,
-        )
-        server.serve(iter(_split_requests(shaped, args.request_cols)))
+        _serve_solo(session, _split_requests(shaped, args.request_cols), args.max_batch)
     manifest = session.save_warm_state(args.save)
     log.info(f"saved {args.save} ({manifest['size_bytes']} bytes) for "
              f"{net.name} [{manifest['fingerprint']}]: "
@@ -843,8 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--model", action="append", default=None, metavar="NAME=BENCHMARK",
-        help="register a named tenant (repeatable); switches serve into "
-             "multi-model routing through a ModelRegistry + Router",
+        help="register a named tenant (repeatable); without it the positional "
+             "benchmark is the router's only tenant",
     )
     serve_p.add_argument(
         "--memory-budget-mb", type=float, default=None, metavar="MB",
@@ -874,8 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--seed", type=int, default=1)
     serve_p.add_argument(
         "--async-transport", action="store_true",
-        help="serve through the threaded AsyncInferenceServer: arrivals "
-             "overlap block execution and max-wait flushes partial blocks",
+        help="serve through the threaded AsyncRouter: arrivals overlap "
+             "block execution and max-wait flushes partial blocks",
     )
     serve_p.add_argument(
         "--arrival-rate", type=float, default=None, metavar="RPS",
@@ -889,8 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--slo", default=None, metavar="SPEC",
-        help="latency SLO to track live, e.g. 'p99<50ms@60s/99%%'; applied "
-             "per tenant under --model, to the single benchmark otherwise",
+        help="latency SLO to track live per tenant, e.g. 'p99<50ms@60s/99%%'",
     )
     serve_p.add_argument(
         "--warm-state", default=None, metavar="PATH",
@@ -905,8 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
              "b='batch:w=2,rate=512,burst=1024' — priority class "
              "(interactive beats batch), deficit-round-robin weight, and a "
              "token-bucket rate limit in columns/second; tenants default to "
-             "interactive with weight 1 and no limit.  Applies to --model "
-             "and --workers tenants",
+             "interactive with weight 1 and no limit",
     )
     _add_reuse_flags(serve_p)
     _add_obs_flags(serve_p)
@@ -931,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     bserve_p.add_argument(
         "--scale-out", default=None, metavar="COUNTS",
         help="comma-separated worker counts (e.g. 1,2,4): append the "
-             "schema-4 multi-process fleet curve — per-count wall and "
+             "multi-process fleet curve — per-count wall and "
              "capacity throughput, bitwise output checks against a "
              "single-process reference, and a crash-recovery run at the "
              "largest count",
@@ -984,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bserve_p.add_argument(
         "--warm-boot", dest="warm_boot", action="store_true", default=None,
-        help="force the schema-5 persistent-warmup record (artifact boot vs "
+        help="force the persistent-warmup record (artifact boot vs "
              "cold warmup + priming; default: on whenever tiers run)",
     )
     bserve_p.add_argument(
@@ -993,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bserve_p.add_argument(
         "--qos", action="store_true",
-        help="append the schema-6 QoS A/B record: an interactive tenant's "
+        help="append the QoS A/B record: an interactive tenant's "
              "p99 while a quota-limited bulk tenant saturates the same "
              "router, under the priority scheduler and under plain FIFO, "
              "with bitwise output checks and shed accounting",

@@ -1,6 +1,6 @@
 """Sliding-window quantile estimation for live tail-latency telemetry.
 
-The pooled quantiles :meth:`~repro.serve.server.ServeReport.latency_quantiles`
+The pooled quantiles :meth:`~repro.serve.router.ServeReport.latency_quantiles`
 computes are end-of-run numbers — useless to an SLO controller that needs
 "what is p99 *right now*".  :class:`SlidingWindow` gives the streaming
 answer: a ring of bucketed sub-windows, each covering ``window_s / slots``

@@ -9,20 +9,22 @@ This package keeps one engine warm and feeds it well-packed blocks:
   buffers;
 * :class:`~repro.serve.batcher.MicroBatcher` — bounded request packing with
   max-batch / max-wait flushing and per-request result splitting;
-* :class:`~repro.serve.server.InferenceServer` — the synchronous serving
-  loop with graceful overflow rejection;
-* :class:`~repro.serve.async_server.AsyncInferenceServer` — the threaded
-  transport: thread-safe ``submit`` returning a future-like
-  :class:`~repro.serve.async_server.AsyncTicket`, a consumer worker that
-  packs and executes blocks while new arrivals accumulate, reject/block
-  backpressure, and drain/abort shutdown;
 * :class:`~repro.serve.router.ModelRegistry` /
   :class:`~repro.serve.router.Router` / :class:`~repro.serve.router.
-  AsyncRouter` — multi-network serving: named sessions behind one metrics
-  registry (per-tenant ``{model=...}`` labels), per-tenant batcher lanes so
-  blocks never mix tenants, per-tenant backpressure, and a process-wide
+  AsyncRouter` — the serving front ends, for one tenant or many: named
+  sessions behind one metrics registry (per-tenant ``{model=...}``
+  labels), per-tenant batcher lanes so blocks never mix tenants, graceful
+  overflow rejection, and a process-wide
   :class:`~repro.gpu.memory.MemoryBudget` that demotes least-recently-served
-  sessions warm-to-cold when the combined retained footprint exceeds it;
+  sessions warm-to-cold when the combined retained footprint exceeds it.
+  :class:`~repro.serve.router.Router` flushes blocks on the caller's
+  thread; :class:`~repro.serve.router.AsyncRouter` is the threaded
+  transport — thread-safe ``submit`` returning a future-like
+  :class:`~repro.serve.router.AsyncTicket`, one consumer worker that packs
+  and executes blocks while new arrivals accumulate, reject/block
+  backpressure per lane, and drain/abort shutdown.  Both report a stream as
+  a :class:`~repro.serve.router.RouterReport` of per-tenant
+  :class:`~repro.serve.router.ServeReport`\\ s;
 * :class:`~repro.serve.fleet.FleetDispatcher` — multi-process scale-out:
   N supervised worker processes (stdlib ``multiprocessing``, spawn-safe),
   each owning its own warm :class:`~repro.serve.router.ModelRegistry` behind
@@ -60,12 +62,6 @@ lifecycles, batch pack/execute/resolve, and every engine stage and kernel
 underneath.
 """
 
-from repro.serve.async_server import (
-    BACKPRESSURE_POLICIES,
-    AsyncInferenceServer,
-    AsyncServeReport,
-    AsyncTicket,
-)
 from repro.serve.batcher import MicroBatcher, Ticket
 from repro.serve.bench import (
     DEFAULT_SCALE_OUT,
@@ -91,8 +87,15 @@ from repro.serve.qos import (
     QosPolicy,
     TokenBucket,
 )
-from repro.serve.router import AsyncRouter, ModelRegistry, Router, RouterReport
-from repro.serve.server import InferenceServer, ServeReport
+from repro.serve.router import (
+    BACKPRESSURE_POLICIES,
+    AsyncRouter,
+    AsyncTicket,
+    ModelRegistry,
+    Router,
+    RouterReport,
+    ServeReport,
+)
 from repro.serve.session import EngineSession
 
 __all__ = [
@@ -103,10 +106,7 @@ __all__ = [
     "RouterReport",
     "MicroBatcher",
     "Ticket",
-    "InferenceServer",
     "ServeReport",
-    "AsyncInferenceServer",
-    "AsyncServeReport",
     "AsyncTicket",
     "BACKPRESSURE_POLICIES",
     "FleetDispatcher",

@@ -3,45 +3,43 @@
 The cold path is today's ``run_engine`` usage — a fresh SNICIT engine per
 request, each request its own tiny batch.  The warm path is the serving
 stack this package adds: one :class:`~repro.serve.session.EngineSession`
-behind an :class:`~repro.serve.server.InferenceServer`, requests packed into
-SNICIT-sized blocks.  Results land in ``BENCH_serve.json`` so successive
-PRs accumulate a machine-readable perf trajectory.
+behind a one-tenant :class:`~repro.serve.router.Router`, requests packed
+into SNICIT-sized blocks.  Results land in ``BENCH_serve.json`` (layout
+:data:`BENCH_SCHEMA`) so successive PRs accumulate a machine-readable perf
+trajectory.  The record has one section per question:
 
-The bench runs a *tier list* (schema 3): two SDGC depths plus a trained
-medium-scale DNN, each measured independently so a perf change that only
-helps shallow nets cannot hide a regression on deep ones.  With
-``centroid_reuse=True`` every tier additionally runs an A/B pass — the same
-request stream through a second warm session with the
-:class:`~repro.core.reuse.CentroidCache` enabled — and records cache
-counters, per-block outcomes, and whether the reuse outputs match the
-reuse-off outputs bitwise.
-
-Schema 4 adds the ``scale_out`` record: the same stream population served
-through :class:`~repro.serve.fleet.FleetDispatcher` at increasing worker
-counts, with per-count wall *and* capacity throughput (see
-:mod:`repro.serve.fleet` on why both are reported), bitwise
-``outputs_identical`` checks against a single-process reference, and a
-crash-injection run proving supervised recovery mid-stream.
-
-Schema 6 adds the ``qos`` record (see :mod:`repro.serve.qos`): an
-interactive tenant and a saturating bulk tenant served through the same
-router twice — once under the QoS policy (priority lanes, deficit-weighted
-service, admission control shedding the bulk tenant at its hard quota) and
-once under plain registration-order FIFO.  The record carries each
-tenant's solo-run latency baseline, the mixed-run quantiles for both arms,
-the interactive p99 inflation ratio the CI gate bounds, bitwise
-``outputs_identical`` checks against the solo runs, and the shed
-accounting identity (submitted == served + shed + failed).
-
-Schema 5 adds the ``warm_boot`` record (see :mod:`repro.core.warmstore`):
-one tier booted cold — plan baked, then a priming pass that fills the
-centroid cache and cost baselines from traffic — then snapshotted and
-re-booted from the artifact with a single ``load_warm_state`` call.  The
-record compares time-to-warm for both boot modes and asserts the identity
-triangle (loaded == freshly warmed == cold, bitwise).  The scale-out
-crash run additionally boots its workers from a saved artifact, so the
-SIGKILLed worker's replacement incarnation demonstrates the crash-restart
-path the artifact exists for.
+``tiers``
+    Two SDGC depths plus a trained medium-scale DNN, each measured
+    independently so a perf change that only helps shallow nets cannot hide
+    a regression on deep ones.  Each tier also replays its stream open-loop
+    through the sync and the async router (``async``), and with
+    ``centroid_reuse=True`` through a second warm session with the
+    :class:`~repro.core.reuse.CentroidCache` enabled (``reuse``: cache
+    counters, per-block outcomes, bitwise comparison with reuse off).
+``multi``
+    Mixed traffic through one multi-tenant router: per-tenant throughput,
+    bitwise isolation against single-tenant serves, memory budget, SLO.
+``scale_out``
+    The same stream population served through
+    :class:`~repro.serve.fleet.FleetDispatcher` at increasing worker counts,
+    with per-count wall *and* capacity throughput (see
+    :mod:`repro.serve.fleet` on why both are reported), bitwise
+    ``outputs_identical`` checks against a single-process reference, and a
+    crash-injection run proving supervised recovery mid-stream from workers
+    booted off a saved warm-state artifact.
+``warm_boot``
+    One tier booted cold — plan baked, then a priming pass that fills the
+    centroid cache and cost baselines from traffic — then snapshotted and
+    re-booted from the artifact with a single ``load_warm_state`` call (see
+    :mod:`repro.core.warmstore`): time-to-warm for both boot modes and the
+    identity triangle (loaded == freshly warmed == cold, bitwise).
+``qos``
+    An interactive tenant and a saturating bulk tenant served through the
+    same router twice — under the QoS policy (see :mod:`repro.serve.qos`)
+    and under plain registration-order FIFO — with solo-run latency
+    baselines, the interactive p99 inflation ratio the CI gate bounds,
+    bitwise ``outputs_identical`` checks against the solo runs, and the shed
+    accounting identity (submitted == served + shed + failed).
 """
 
 from __future__ import annotations
@@ -61,8 +59,7 @@ from repro.harness.experiments.common import sdgc_config
 from repro.harness.runner import run_engine
 from repro.harness.workloads import get_benchmark, get_input
 from repro.obs import Tracer
-from repro.serve.async_server import AsyncInferenceServer
-from repro.serve.server import InferenceServer
+from repro.serve.router import AsyncRouter, ModelRegistry, Router, ServeReport
 from repro.serve.session import EngineSession
 
 __all__ = [
@@ -80,16 +77,7 @@ __all__ = [
 
 DEFAULT_BENCH_PATH = "BENCH_serve.json"
 
-#: current on-disk layout of ``BENCH_serve.json``.  Schema 6 added the
-#: top-level ``qos`` record (priority-lane A/B: interactive p99 under bulk
-#: saturation with and without the QoS scheduler, plus shed accounting);
-#: schema 5 added the ``warm_boot`` record (persistent-warmup artifact boot
-#: vs cold warmup + priming) and the artifact-boot crash run under
-#: ``scale_out``; schema 4 added the ``scale_out`` record (multi-process
-#: fleet curve + crash-recovery run); schema 3 added the multi-tenant
-#: record's per-tenant ``slo`` blocks (windowed quantiles, error-budget
-#: burn, trace-linked exemplars) and per-tenant latency quantiles in the
-#: router summary; schemas 2 through 5 are still readable.
+#: on-disk layout of ``BENCH_serve.json``
 BENCH_SCHEMA = 6
 
 #: worker counts of the default scale-out curve
@@ -186,6 +174,28 @@ def _tier_workload(tier: str, total_cols: int, seed: int):
     return net, sdgc_config(net.num_layers), np.asarray(get_input(source, total_cols, seed))
 
 
+#: tenant name of the bench's one-tenant routers
+SOLO = "solo"
+
+
+def _serve_solo(
+    session, stream, max_batch, transport=Router, interarrivals=None
+) -> tuple[Router | AsyncRouter, ServeReport]:
+    """Serve ``stream`` through a one-tenant router over ``session``.
+
+    ``max_wait_s`` stays high, so blocks pack identically on either
+    transport.  Returns the router (its lane stays readable) and the
+    tenant's report.
+    """
+    registry = ModelRegistry()
+    registry.register(SOLO, session=session)
+    router = transport(
+        registry, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
+    )
+    report = router.serve(((SOLO, y0) for y0 in stream), interarrivals=interarrivals)
+    return router, report.per_model[SOLO]
+
+
 def _warm_pass(
     net, cfg, stream, max_batch, tracer=None, centroid_reuse=False, reuse_tolerance=0.5
 ):
@@ -194,11 +204,8 @@ def _warm_pass(
         net, cfg, tracer=tracer,
         centroid_reuse=centroid_reuse, reuse_tolerance=reuse_tolerance,
     )
-    server = InferenceServer(
-        session, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
-    )
-    report = server.serve(iter(stream))
-    return session, server, report
+    router, report = _serve_solo(session, stream, max_batch)
+    return session, router, report
 
 
 def _async_ab(
@@ -207,8 +214,8 @@ def _async_ab(
 ) -> dict:
     """Open-loop sync-vs-async A/B on one tier's stream.
 
-    Both transports replay the *same* seeded Poisson arrival schedule; the
-    synchronous loop serializes arrival gaps with block execution while the
+    Both routers replay the *same* seeded Poisson arrival schedule; the
+    sync router serializes arrival gaps with block execution while the
     async worker hides them behind it.  ``max_wait_s`` stays high so both
     sides pack identical blocks — outputs must then match bitwise, and the
     throughput delta is purely the overlap.
@@ -222,23 +229,18 @@ def _async_ab(
         rate = 1.0 / per_request if per_request > 0 else 1000.0
     gaps = poisson_interarrivals(len(stream), rate, seed)
 
-    s_session = EngineSession(net, cfg)
-    s_server = InferenceServer(
-        s_session, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
+    _, s_report = _serve_solo(
+        EngineSession(net, cfg), stream, max_batch, interarrivals=gaps
     )
-    s_report = s_server.serve(iter(stream), interarrivals=gaps)
-
-    a_session = EngineSession(net, cfg)
-    a_server = AsyncInferenceServer(
-        a_session, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
+    _, a_report = _serve_solo(
+        EngineSession(net, cfg), stream, max_batch,
+        transport=AsyncRouter, interarrivals=gaps,
     )
-    a_report = a_server.serve(iter(stream), interarrivals=gaps)
 
     sync_y = np.hstack([t.y for t in s_report.served])
-    a_served = sorted(a_report.served, key=lambda t: t.index)
-    async_y = np.hstack([t.y for t in a_served])
+    async_y = np.hstack([t.y for t in a_report.served])
     sync_cats = np.concatenate([t.categories for t in s_report.served])
-    async_cats = np.concatenate([t.categories for t in a_served])
+    async_cats = np.concatenate([t.categories for t in a_report.served])
     ref_cats = np.concatenate([t.categories for t in reference_served])
     return {
         "arrival_rate_rps": rate,
@@ -299,7 +301,7 @@ def _run_tier(
     # the warm session's warmup also pre-builds the shared weight views the
     # cold path will then hit through the network cache, so the comparison
     # isolates steady-state serving cost (engine construction + packing)
-    session, server, report = _warm_pass(net, cfg, stream, max_batch, tracer=tracer)
+    session, router, report = _warm_pass(net, cfg, stream, max_batch, tracer=tracer)
 
     t0 = time.perf_counter()
     cold_runs = [run_engine("snicit", net, y0, snicit_config=cfg) for y0 in stream]
@@ -359,7 +361,7 @@ def _run_tier(
             "columns_per_second": report.columns_per_second,
             "latency_seconds": report.latency_quantiles(),
             "rejected": len(report.rejected),
-            "batcher": server.batcher.stats(),
+            "batcher": router.lane(SOLO).stats(),
             # one-time costs, reported apart from steady-state throughput
             "first_block": first_block,
             "steady_state": steady_state,
@@ -393,7 +395,7 @@ def _run_tier(
         )
 
     if centroid_reuse:
-        r_session, r_server, r_report = _warm_pass(
+        r_session, r_router, r_report = _warm_pass(
             net, cfg, stream, max_batch,
             centroid_reuse=True, reuse_tolerance=reuse_tolerance,
         )
@@ -409,7 +411,7 @@ def _run_tier(
                 "latency_seconds": r_report.latency_quantiles(),
             },
             "cache": r_session.reuse.stats(),
-            "reuse_blocks": dict(r_server.batcher.reuse_outcomes),
+            "reuse_blocks": dict(r_router.lane(SOLO).reuse_outcomes),
             "outputs_identical": bool(np.array_equal(on_y, off_y)),
             "categories_match": bool((on_cats == warm_cats).all()),
             "speedup_vs_warm": (
@@ -454,8 +456,6 @@ def _run_multi(
     change served outputs: the single-tenant references run *without*
     trackers, and the mixed run must still match them bitwise.
     """
-    from repro.serve.router import ModelRegistry, Router
-
     budget_bytes = (
         int(memory_budget_mb * 1024 * 1024) if memory_budget_mb is not None else None
     )
@@ -472,10 +472,9 @@ def _run_multi(
     # single-tenant references: same stream, same batcher geometry, no
     # neighbors — the bar the mixed run must match bitwise
     for name, tenant in tenants.items():
-        session, server, report = _warm_pass(
+        _, _, tenant["reference"] = _warm_pass(
             tenant["net"], tenant["cfg"], tenant["stream"], max_batch
         )
-        tenant["reference"] = report
         tenant["net"].drop_views()  # hand the views back cold to the router
 
     registry = ModelRegistry(memory_budget_bytes=budget_bytes)
@@ -583,8 +582,6 @@ def _balanced_streams(count: int, workers: int) -> list[str]:
 
 def _single_process_reference(net, cfg, items, max_batch) -> dict:
     """Per-stream hstacked outputs from one in-process stream-lane router."""
-    from repro.serve.router import AsyncRouter, ModelRegistry
-
     net.drop_views()
     registry = ModelRegistry()
     registry.register("m", net, config=cfg, warm=True)
@@ -639,7 +636,7 @@ def _run_warm_boot(
     reuse_tolerance: float = 0.0,
     revise_ratio: float | None = 2.0,
 ) -> dict:
-    """Schema-5 persistent-warmup record: artifact boot vs cold warm+prime.
+    """Persistent-warmup record: artifact boot vs cold warm+prime.
 
     The cold path to a fully warm session is two-phase: ``warmup()`` bakes
     the plan and pins views, then the first blocks of traffic *teach* it —
@@ -669,10 +666,7 @@ def _run_warm_boot(
         )
 
     def serve(session):
-        server = InferenceServer(
-            session, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
-        )
-        report = server.serve(iter(stream))
+        _, report = _serve_solo(session, stream, max_batch)
         return np.hstack([t.y for t in report.served])
 
     # ---- cold boot: bake the plan, then learn from the priming pass
@@ -754,7 +748,7 @@ def _run_scale_out(
     streams: int = 8,
     max_batch: int = 16,
 ) -> dict:
-    """Schema-4 scale-out curve: one tier through the fleet at rising N.
+    """Scale-out curve: one tier through the fleet at rising N.
 
     The same ``requests`` (round-robined over a fixed stream population)
     are served by a :class:`~repro.serve.fleet.FleetDispatcher` at every
@@ -767,8 +761,8 @@ def _run_scale_out(
     the headline the CI gate checks.  A final crash run at the largest
     count SIGKILLs one worker mid-stream and must recover: victim restarted
     (restart counters surfaced), streams replayed, every output still
-    bitwise identical, no request failed anywhere.  Since schema 5 the
-    crash run's workers boot from a saved warmstore artifact, so the
+    bitwise identical, no request failed anywhere.  The crash run's
+    workers boot from a saved warmstore artifact, so the
     victim's replacement incarnation demonstrates the artifact-boot
     restart path (``crash["artifact_boot"]``).
     """
@@ -942,7 +936,6 @@ def _qos_pass(tenants, submissions, max_batch, policy):
     from first submit to drained.
     """
     from repro.errors import ServeShedError
-    from repro.serve.router import AsyncRouter, ModelRegistry
 
     registry = ModelRegistry()
     for name, tenant in tenants.items():
@@ -981,7 +974,7 @@ def _run_qos(
     bulk_admit: int | None = None,
     slo: str | None = MULTI_SLO_SPEC,
 ) -> dict:
-    """Schema-6 QoS A/B: interactive p99 under bulk saturation, two arms.
+    """QoS A/B: interactive p99 under bulk saturation, two arms.
 
     Two tenants share one :class:`~repro.serve.router.AsyncRouter`: an
     ``interactive``-class tenant and a ``batch``-class bulk tenant whose
@@ -1123,30 +1116,19 @@ def _run_qos(
 def load_bench_records(data) -> list[dict]:
     """Per-tier records from a loaded ``BENCH_serve.json`` object.
 
-    Accepts every on-disk generation: the current schema-5 layout
-    (``{"schema": 5, "tiers": [...], "warm_boot": {...}, "scale_out":
-    {...}}``) and schemas 2-4 before it (same ``tiers`` shape — those bumps
-    added the ``multi`` SLO blocks, the ``scale_out`` record, and the
-    ``warm_boot`` record without touching the per-tier
-    records), a scale-out-only capture (``tiers`` absent — an
-    empty record list, *not* an error, so perf tooling pointed at such a
-    file skips tier gating instead of crashing), and the legacy
-    single-benchmark dict from before the tier split, which is wrapped as a
-    one-record list (its ``tier`` defaults to its benchmark name).
+    A record-only capture (``tiers`` absent, e.g. ``--tiers none`` CI
+    runs with only ``scale_out`` or ``qos``) yields an empty list, *not* an
+    error, so perf tooling pointed at such a file skips tier gating instead
+    of crashing.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"expected a BENCH_serve dict, got {type(data).__name__}")
     if "tiers" in data:
         return list(data["tiers"])
-    if "benchmark" in data:  # legacy pre-schema shape
-        legacy = dict(data)
-        legacy.setdefault("tier", legacy["benchmark"])
-        return [legacy]
     if "scale_out" in data or "qos" in data:
         return []  # record-only capture (e.g. a CI smoke run); no tiers
     raise ConfigError(
-        "unrecognized BENCH_serve layout (no 'tiers', 'benchmark', "
-        "'scale_out', or 'qos' key)"
+        "unrecognized BENCH_serve layout (no 'tiers', 'scale_out', or 'qos' key)"
     )
 
 
@@ -1185,16 +1167,15 @@ def bench_serve(
 
     Runs every tier in ``tiers`` (default :data:`DEFAULT_TIERS`); passing
     ``benchmark`` instead runs that single SDGC benchmark as an ad-hoc tier.
-    Returns the schema-3 result dict and, unless ``out`` is None, writes it
-    as JSON.
+    Returns the result dict and, unless ``out`` is None, writes it as JSON.
 
     ``stream`` picks the request-stream shape (see :func:`_shape_stream`);
     ``centroid_reuse`` adds the A/B pass — the same stream served again with
     the centroid cache on — whose record lands under each tier's ``"reuse"``
     key.  ``async_ab`` (on by default) additionally replays each tier's
     stream open-loop — seeded Poisson arrivals at ``arrival_rate`` req/s, or
-    auto-paced to the tier's warm service rate — through both the
-    synchronous and the async transport, recorded under ``"async"``.
+    auto-paced to the tier's warm service rate — through both the sync
+    and the async router, recorded under ``"async"``.
     ``trace`` writes a Chrome trace of the first tier's warm serving run
     (note: span recording adds overhead to that tier's warm numbers; leave
     it off when comparing throughput across PRs).
@@ -1210,7 +1191,7 @@ def bench_serve(
     :data:`MULTI_SLO_SPEC`; ``None`` turns SLO tracking off).
 
     ``scale_out`` — a tuple of worker counts like ``(1, 2, 4)`` — adds the
-    schema-4 fleet curve under the result's ``"scale_out"`` key (see
+    fleet curve under the result's ``"scale_out"`` key (see
     :func:`_run_scale_out`): ``scale_out_tier``'s stream population served
     through a multi-process :class:`~repro.serve.fleet.FleetDispatcher` at
     every count, with wall + capacity throughput, bitwise output checks
@@ -1222,14 +1203,14 @@ def bench_serve(
     ``--tiers none``) skips the per-tier records entirely for
     scale-out-only captures.
 
-    ``warm_boot`` adds the schema-5 persistent-warmup record under the
+    ``warm_boot`` adds the persistent-warmup record under the
     result's ``"warm_boot"`` key (see :func:`_run_warm_boot`):
     ``warm_boot_tier`` booted cold (bake + priming traffic), snapshotted
     via :mod:`repro.core.warmstore`, and re-booted from the artifact, with
     time-to-warm for both modes and the bitwise identity triangle.  The
     default (``None``) runs it whenever per-tier records run.
 
-    ``qos`` adds the schema-6 QoS A/B record under the result's ``"qos"``
+    ``qos`` adds the QoS A/B record under the result's ``"qos"``
     key (see :func:`_run_qos`): an interactive tenant's p99 measured while
     a quota-limited bulk tenant saturates the same router, under the QoS
     scheduler and under plain FIFO, against each tenant's solo baseline.

@@ -162,7 +162,7 @@ class TenantSpec:
 class FleetTicket:
     """Future-like handle for one fleet request, resolved by the collector.
 
-    Mirrors :class:`~repro.serve.async_server.AsyncTicket`'s surface where
+    Mirrors :class:`~repro.serve.router.AsyncTicket`'s surface where
     it can: ``done`` / ``ready`` / ``failed`` / ``wait`` / ``result`` / ``y``
     / ``categories``.  The payload crossed a process boundary, so ``y`` is a
     dispatcher-side copy and the worker-side latency breakdown arrives as a

@@ -1,4 +1,4 @@
-"""Concurrency suite for the async serving transport (AsyncInferenceServer).
+"""Concurrency suite for the async serving transport (one-tenant AsyncRouter).
 
 Deterministic control comes from a fake session whose ``run`` can be gated
 on an event (to hold the worker mid-block) or told to fail on a given call;
@@ -20,7 +20,7 @@ from repro.errors import ConfigError, ServeClosedError, ServeOverflowError, Shap
 from repro.harness.experiments.common import sdgc_config
 from repro.obs import MetricsRegistry, as_tracer
 from repro.radixnet import benchmark_input, build_benchmark
-from repro.serve import AsyncInferenceServer, EngineSession, InferenceServer
+from repro.serve import AsyncRouter, EngineSession, ModelRegistry, Router
 
 WAIT = 20.0  # generous resolution timeout; tests fail long before CI's guard
 
@@ -68,12 +68,27 @@ class FakeSession:
             raise RuntimeError(f"injected failure on block {self.calls}")
         return SimpleNamespace(y=y0 * 2.0, stats={}, stage_seconds={})
 
+    def retained_nbytes(self) -> int:
+        return 0
+
     def stats(self):
         return {"calls": self.calls}
 
 
 def req(k: int = 1, fill: float = 1.0) -> np.ndarray:
     return np.full((FakeNetwork.input_dim, k), fill)
+
+
+def solo(session, transport=AsyncRouter, **kwargs):
+    """A router whose only tenant, ``'m'``, is ``session``."""
+    registry = ModelRegistry()
+    registry.register("m", session=session)
+    return transport(registry, **kwargs)
+
+
+def serve_solo(router, stream, **kwargs):
+    """Serve a bare request stream to tenant ``'m'``; its ServeReport."""
+    return router.serve((("m", y0) for y0 in stream), **kwargs).per_model["m"]
 
 
 # ------------------------------------------------------- differential (real)
@@ -84,14 +99,15 @@ def test_multithreaded_submit_matches_sync_server(bench):
     net, cfg, y0 = bench
     stream = [y0[:, lo : lo + 2] for lo in range(0, 64, 2)]
 
-    sync = InferenceServer(
-        EngineSession(net, cfg), max_batch=16, max_wait_s=60.0, queue_limit=len(stream)
+    sync = solo(
+        EngineSession(net, cfg), Router, max_batch=16, max_wait_s=60.0,
+        queue_limit=len(stream),
     )
-    sync_report = sync.serve(iter(stream))
+    sync_report = serve_solo(sync, stream)
     assert len(sync_report.served) == len(stream)
     sync_cats = [t.categories for t in sync_report.served]
 
-    server = AsyncInferenceServer(
+    server = solo(
         EngineSession(net, cfg), max_batch=16, max_wait_s=0.005,
         queue_limit=len(stream),
     )
@@ -100,7 +116,7 @@ def test_multithreaded_submit_matches_sync_server(bench):
 
     def producer(worker: int):
         for index in range(worker, len(stream), 3):
-            ticket = server.submit(stream[index])
+            ticket = server.submit("m", stream[index])
             with lock:
                 results[index] = ticket
 
@@ -113,6 +129,8 @@ def test_multithreaded_submit_matches_sync_server(bench):
     assert server.close(drain=True, timeout=WAIT)
 
     assert sorted(results) == list(range(len(stream)))  # exactly the stream
+    # producers inc and the worker decs the intake gauge: no lost update
+    assert server.registry.get("m").metrics.snapshot()["async_intake_depth"] == 0
     for index, ticket in results.items():
         assert ticket.ready, f"request {index} unresolved"
         assert ticket.y.shape == (net.output_dim, 2)
@@ -124,15 +142,16 @@ def test_single_producer_order_preserving_packing_is_bitwise_identical(bench):
     synchronous server's, so outputs match bitwise, not just by category."""
     net, cfg, y0 = bench
     stream = [y0[:, lo : lo + 2] for lo in range(0, 32, 2)]
-    sync = InferenceServer(
-        EngineSession(net, cfg), max_batch=8, max_wait_s=60.0, queue_limit=len(stream)
+    sync = solo(
+        EngineSession(net, cfg), Router, max_batch=8, max_wait_s=60.0,
+        queue_limit=len(stream),
     )
-    sync_y = np.hstack([t.y for t in sync.serve(iter(stream)).served])
+    sync_y = np.hstack([t.y for t in serve_solo(sync, stream).served])
 
-    server = AsyncInferenceServer(
+    server = solo(
         EngineSession(net, cfg), max_batch=8, max_wait_s=60.0, queue_limit=len(stream)
     )
-    report = server.serve(iter(stream))
+    report = serve_solo(server, stream)
     assert report.status == "ok" and not report.rejected and not report.failed
     async_y = np.hstack(
         [t.y for t in sorted(report.served, key=lambda t: t.index)]
@@ -145,12 +164,12 @@ def test_stalled_arrival_flushes_partial_block_via_max_wait():
     """A partial block with no further arrivals must flush once its oldest
     request ages past max_wait_s — not wait forever for a full block."""
     session = FakeSession()
-    server = AsyncInferenceServer(session, max_batch=1024, max_wait_s=0.02)
-    ticket = server.submit(req(2))
+    server = solo(session, max_batch=1024, max_wait_s=0.02)
+    ticket = server.submit("m", req(2))
     assert ticket.wait(WAIT), "stalled arrival never flushed"
     assert ticket.ready
     assert np.array_equal(ticket.y, req(2) * 2.0)
-    assert server.batcher.counters["wait_flushes"] >= 1
+    assert server.lane("m").counters["wait_flushes"] >= 1
     assert ticket.latency_seconds >= ticket.queue_wait_seconds
     server.close()
 
@@ -161,18 +180,18 @@ def test_full_queue_rejects_under_reject_policy():
     session = FakeSession(gate=gate)
     # max_batch=1: the first request flushes immediately and parks the worker
     # on the gate; everything after fills the bounded intake queue
-    server = AsyncInferenceServer(
+    server = solo(
         session, max_batch=1, max_wait_s=60.0, queue_limit=3, on_full="reject"
     )
-    first = server.submit(req())
+    first = server.submit("m", req())
     deadline = time.monotonic() + WAIT
     while session.calls == 0 and time.monotonic() < deadline:
         time.sleep(0.001)  # worker has picked up the first request
     assert session.calls == 1
-    accepted = [server.submit(req()) for _ in range(3)]
+    accepted = [server.submit("m", req()) for _ in range(3)]
     with pytest.raises(ServeOverflowError):
-        server.submit(req())
-    assert server.metrics.snapshot()["async_rejected_total"] == 1
+        server.submit("m", req())
+    assert session.metrics.snapshot()["serve_rejected_total"] == 1
     gate.set()
     assert server.close(drain=True, timeout=WAIT)
     for ticket in [first, *accepted]:
@@ -182,21 +201,21 @@ def test_full_queue_rejects_under_reject_policy():
 def test_full_queue_blocks_producer_under_block_policy():
     gate = threading.Event()
     session = FakeSession(gate=gate)
-    server = AsyncInferenceServer(
+    server = solo(
         session, max_batch=1, max_wait_s=60.0, queue_limit=2, on_full="block"
     )
-    first = server.submit(req())
+    first = server.submit("m", req())
     deadline = time.monotonic() + WAIT
     while session.calls == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
-    tickets = [server.submit(req()) for _ in range(2)]  # fills the queue
+    tickets = [server.submit("m", req()) for _ in range(2)]  # fills the queue
 
     blocked_ticket = []
     entered = threading.Event()
 
     def blocked_producer():
         entered.set()
-        blocked_ticket.append(server.submit(req()))  # must park, not raise
+        blocked_ticket.append(server.submit("m", req()))  # must park, not raise
 
     producer = threading.Thread(target=blocked_producer)
     producer.start()
@@ -215,27 +234,25 @@ def test_full_queue_blocks_producer_under_block_policy():
 def test_shutdown_mid_stream_drains_accepted_tickets():
     gate = threading.Event()
     session = FakeSession(gate=gate)
-    server = AsyncInferenceServer(session, max_batch=4, max_wait_s=60.0, queue_limit=64)
-    tickets = [server.submit(req()) for _ in range(11)]
+    server = solo(session, max_batch=4, max_wait_s=60.0, queue_limit=64)
+    tickets = [server.submit("m", req()) for _ in range(11)]
     # open the gate from a timer so close() observes a mid-stream shutdown
     threading.Timer(0.02, gate.set).start()
     assert server.close(drain=True, timeout=WAIT)
     assert all(t.ready for t in tickets)  # every accepted ticket served
     with pytest.raises(ServeClosedError):
-        server.submit(req())
+        server.submit("m", req())
 
 
 def test_abort_fails_unexecuted_tickets_with_closed_error():
     gate = threading.Event()
     session = FakeSession(gate=gate)
-    server = AsyncInferenceServer(
-        session, max_batch=1, max_wait_s=60.0, queue_limit=64
-    )
-    tickets = [server.submit(req())]
+    server = solo(session, max_batch=1, max_wait_s=60.0, queue_limit=64)
+    tickets = [server.submit("m", req())]
     deadline = time.monotonic() + WAIT
     while session.calls == 0 and time.monotonic() < deadline:
         time.sleep(0.001)  # worker parked inside block 1; intake empty
-    tickets += [server.submit(req()) for _ in range(7)]  # queue behind it
+    tickets += [server.submit("m", req()) for _ in range(7)]  # queue behind it
     closer = threading.Thread(target=server.close, kwargs={"drain": False})
     closer.start()
     while not server._closed and time.monotonic() < deadline:
@@ -253,24 +270,26 @@ def test_abort_fails_unexecuted_tickets_with_closed_error():
             ticket.result(timeout=1)
     for ticket in served:  # whatever did execute still resolved normally
         assert np.array_equal(ticket.y, req() * 2.0)
+    # every ticket that never ran counts as a failed request of the tenant
+    assert session.metrics.snapshot()["serve_failed_total"] == len(aborted)
 
 
 def test_blocked_producer_woken_by_close_raises():
     gate = threading.Event()
     session = FakeSession(gate=gate)
-    server = AsyncInferenceServer(
+    server = solo(
         session, max_batch=1, max_wait_s=60.0, queue_limit=1, on_full="block"
     )
-    server.submit(req())
+    server.submit("m", req())
     deadline = time.monotonic() + WAIT
     while session.calls == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
-    server.submit(req())  # fills the intake queue
+    server.submit("m", req())  # fills the intake queue
     outcome = []
 
     def blocked_producer():
         try:
-            outcome.append(server.submit(req()))
+            outcome.append(server.submit("m", req()))
         except ServeClosedError as exc:
             outcome.append(exc)
 
@@ -293,35 +312,35 @@ def test_blocked_producer_woken_by_close_raises():
 # ---------------------------------------------------------------- exceptions
 def test_midblock_exception_reaches_exactly_that_block():
     session = FakeSession(fail_on_call=2)
-    server = AsyncInferenceServer(session, max_batch=4, max_wait_s=0.005, queue_limit=64)
+    server = solo(session, max_batch=4, max_wait_s=0.005, queue_limit=64)
     # 4-column requests: each is its own block under max_batch=4
-    t1 = server.submit(req(4, fill=1.0))
+    t1 = server.submit("m", req(4, fill=1.0))
     assert t1.wait(WAIT) and t1.ready
-    t2 = server.submit(req(4, fill=2.0))
+    t2 = server.submit("m", req(4, fill=2.0))
     assert t2.wait(WAIT) and t2.failed  # rode the failing block
     assert isinstance(t2.exception, RuntimeError)
     with pytest.raises(RuntimeError, match="injected failure"):
         t2.result(timeout=1)
     # the server remains serviceable after the failure
-    t3 = server.submit(req(4, fill=3.0))
+    t3 = server.submit("m", req(4, fill=3.0))
     assert t3.wait(WAIT) and t3.ready
     assert np.array_equal(t3.y, req(4, fill=3.0) * 2.0)
-    report_counters = server.batcher.counters
+    report_counters = server.lane("m").counters
     assert report_counters["failed"] == 1
-    assert server.metrics.snapshot()["async_failed_total"] == 1
+    assert session.metrics.snapshot()["serve_failed_total"] == 1
     server.close()
 
 
 def test_midblock_exception_shared_block_fails_all_riders():
     session = FakeSession(fail_on_call=1)
-    server = AsyncInferenceServer(session, max_batch=4, max_wait_s=60.0, queue_limit=64)
-    riders = [server.submit(req(2)) for _ in range(2)]  # pack into one block
+    server = solo(session, max_batch=4, max_wait_s=60.0, queue_limit=64)
+    riders = [server.submit("m", req(2)) for _ in range(2)]  # pack into one block
     for ticket in riders:
         assert ticket.wait(WAIT)
     assert all(t.failed for t in riders)  # both rode the failing block
     assert {type(t.exception) for t in riders} == {RuntimeError}
     # only call 1 fails; the next block must ride through untouched
-    survivors = [server.submit(req(2)) for _ in range(2)]
+    survivors = [server.submit("m", req(2)) for _ in range(2)]
     assert server.close(drain=True, timeout=WAIT)
     assert all(t.ready for t in survivors)
 
@@ -330,32 +349,50 @@ def test_midblock_exception_shared_block_fails_all_riders():
 def test_overlap_and_queue_metrics_are_recorded(bench):
     net, cfg, y0 = bench
     stream = [y0[:, lo : lo + 2] for lo in range(0, 32, 2)]
-    server = AsyncInferenceServer(
-        EngineSession(net, cfg), max_batch=8, max_wait_s=0.002, queue_limit=64
-    )
-    report = server.serve(iter(stream), interarrivals=[0.001] * len(stream))
+    registry = ModelRegistry()
+    registry.register("m", net, config=cfg)
+    server = AsyncRouter(registry, max_batch=8, max_wait_s=0.002, queue_limit=64)
+    report = serve_solo(server, stream, interarrivals=[0.001] * len(stream))
     assert report.status == "ok"
     assert report.exec_seconds > 0
     assert 0.0 < report.overlap_fraction <= 1.0
     assert report.arrival_seconds > 0
     summary = report.summary()
     assert summary["overlap_fraction"] == pytest.approx(report.overlap_fraction)
-    snap = server.metrics.snapshot()
-    assert snap["async_submitted_total"] == len(stream)
-    assert snap["async_resolved_total"] == len(stream)
+    snap = registry.metrics.snapshot()
+    assert snap['serve_requests_total{model="m"}'] == len(stream)
+    assert snap['serve_failed_total{model="m"}'] == 0
     assert snap["async_overlap_fraction"] > 0
-    assert "async_intake_depth" in snap
+    assert 'async_intake_depth{model="m"}' in snap
 
 
-def test_async_server_rejects_unknown_policy_and_bad_requests():
+def test_slo_tracker_records_the_outer_ticket(bench):
+    """A one-tenant async serve feeds its SLO tracker the outer ticket, so
+    the recorded latency includes the intake-queue wait and the exemplar's
+    breakdown names it (the batcher's inner ticket knows neither)."""
+    net, cfg, y0 = bench
+    registry = ModelRegistry()
+    registry.register("m", net, config=cfg, slo="p99<10s@60s/99%")
+    server = AsyncRouter(registry, max_batch=8, max_wait_s=60.0)
+    ticket = server.submit("m", y0[:, :2])
+    assert server.close(drain=True, timeout=WAIT) and ticket.ready
+    slo = registry.slo_tracker("m").report()
+    assert slo.requests_total == 1
+    assert slo.window["sum"] == pytest.approx(ticket.latency_seconds)
+    exemplar = slo.exemplar
+    assert exemplar["latency_seconds"] == ticket.latency_seconds
+    assert exemplar["breakdown"]["queue_wait_seconds"] == ticket.queue_wait_seconds
+
+
+def test_async_router_rejects_unknown_policy_and_bad_requests():
     session = FakeSession()
     with pytest.raises(ConfigError):
-        AsyncInferenceServer(session, on_full="drop")
-    server = AsyncInferenceServer(session)
+        solo(session, on_full="drop")
+    server = solo(session)
     with pytest.raises(ShapeError):
-        server.submit(np.ones((7, 2)))  # wrong input dim, rejected in-producer
+        server.submit("m", np.ones((7, 2)))  # wrong input dim, rejected in-producer
     with pytest.raises(ShapeError):
-        server.submit(np.ones((4, 0)))  # empty request
+        server.submit("m", np.ones((4, 0)))  # empty request
     server.close()
 
 
@@ -372,7 +409,7 @@ def _run_property_stream(seed: int) -> None:
     rng = random.Random(seed)
     fail_call = rng.choice([None, 2, 3])
     session = FakeSession(fail_on_call=fail_call)
-    server = AsyncInferenceServer(
+    server = solo(
         session,
         max_batch=rng.choice([1, 2, 4]),
         max_wait_s=rng.choice([0.0, 0.001, 0.005]),
@@ -391,7 +428,9 @@ def _run_property_stream(seed: int) -> None:
             time.sleep(rng.choice([0.0, 0.0005, 0.002]))
         width = rng.choice([1, 2, 3])
         try:
-            accepted[index] = (width, server.submit(req(width, fill=float(index + 1))))
+            accepted[index] = (
+                width, server.submit("m", req(width, fill=float(index + 1)))
+            )
         except ServeOverflowError:
             overflowed.add(index)
         except ServeClosedError:
@@ -412,9 +451,9 @@ def _run_property_stream(seed: int) -> None:
             assert np.array_equal(ticket.y, req(width, fill=float(index + 1)) * 2.0)
         else:
             assert isinstance(ticket.exception, (RuntimeError, ServeClosedError))
-    snap = server.metrics.snapshot()
-    assert snap["async_resolved_total"] == len(accepted)
-    assert snap["async_rejected_total"] == len(overflowed)
+    snap = session.metrics.snapshot()
+    assert snap["serve_requests_total"] == len(accepted)
+    assert snap["serve_rejected_total"] == len(overflowed)
 
 
 @pytest.mark.parametrize("seed", range(8))

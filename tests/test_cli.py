@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -47,6 +49,22 @@ def test_serve(capsys):
     out = capsys.readouterr().out
     assert "served 16/16 requests" in out
     assert "throughput" in out and "latency" in out
+
+
+def test_serve_sync_transport_paces_open_loop_arrivals(capsys):
+    """--arrival-rate paces the sync router too, for one tenant or many."""
+    assert main(["serve", "144-24", "--requests", "4", "--request-cols", "2",
+                 "--max-batch", "4", "--arrival-rate", "500"]) == 0
+    assert main(["serve", "--model", "a=144-24", "--model", "b=144-24",
+                 "--requests", "4", "--request-cols", "2", "--max-batch", "4",
+                 "--arrival-rate", "500"]) == 0
+    captured = capsys.readouterr()
+    out = captured.out
+    assert "served 4/4 requests" in out and "served 8/8 requests" in out
+    assert "[sync]" in out and "[async]" not in out
+    assert "ignored" not in out + captured.err
+    gaps = [float(g) for g in re.findall(r"([\d.]+) ms arrival gaps", out)]
+    assert len(gaps) == 3 and all(g > 0 for g in gaps)
 
 
 def test_bench_serve(tmp_path, capsys):

@@ -10,7 +10,7 @@ from repro.harness.experiments.common import sdgc_config
 from repro.core.pipeline import SNICIT
 from repro.obs import NULL_TRACER, Tracer
 from repro.radixnet import benchmark_input, build_benchmark
-from repro.serve import EngineSession, InferenceServer, bench_serve
+from repro.serve import EngineSession, ModelRegistry, Router, bench_serve
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +19,14 @@ def bench():
     cfg = sdgc_config(net.num_layers)
     y0 = benchmark_input(net, 64, seed=1)
     return net, cfg, y0
+
+
+def serve_solo(session, requests, **kwargs):
+    """Serve ``requests`` through a router whose only tenant is ``session``."""
+    registry = ModelRegistry()
+    registry.register("m", session=session)
+    router = Router(registry, **kwargs)
+    return router.serve(("m", y0) for y0 in requests).per_model["m"]
 
 
 # ------------------------------------------------------- disabled == no-op
@@ -111,12 +119,10 @@ def test_serving_metrics_survive_overflow_rejections(bench):
     net, cfg, y0 = bench
     requests = [y0[:, lo : lo + 1] for lo in range(12)]
     session = EngineSession(net, cfg)
-    server = InferenceServer(session, max_batch=64, max_wait_s=60.0, queue_limit=2)
-    report = server.serve(iter(requests))
+    report = serve_solo(session, requests, max_batch=64, max_wait_s=60.0, queue_limit=2)
     assert len(report.rejected) == 10
     snap = session.metrics.snapshot()
     assert snap["serve_rejected_total"] == 10.0
-    assert snap["server_overflow_total"] == 10.0
     assert snap["serve_requests_total"] == 2.0
     assert snap["session_calls_total"] == 1.0  # the drained block ran once
     assert snap["serve_queue_depth"] == 0.0  # drained clean
@@ -127,9 +133,8 @@ def test_serving_metrics_survive_overflow_rejections(bench):
 def test_batcher_flush_reasons_and_fill_histogram(bench):
     net, cfg, y0 = bench
     session = EngineSession(net, cfg)
-    server = InferenceServer(session, max_batch=8, max_wait_s=60.0)
     requests = [y0[:, lo : lo + 4] for lo in range(0, 20, 4)]  # 5 requests x 4 cols
-    server.serve(iter(requests))
+    serve_solo(session, requests, max_batch=8, max_wait_s=60.0)
     fills = {
         labels["reason"]: h for labels, h in session.metrics.series("serve_batch_fill")
     }
@@ -164,9 +169,8 @@ def test_request_lifecycle_async_events(bench):
     net, cfg, y0 = bench
     tracer = Tracer()
     session = EngineSession(net, cfg, tracer=tracer)
-    server = InferenceServer(session, max_batch=8, max_wait_s=60.0)
     requests = [y0[:, lo : lo + 2] for lo in range(0, 16, 2)]
-    server.serve(iter(requests))
+    serve_solo(session, requests, max_batch=8, max_wait_s=60.0)
     begins = [e for e in tracer.events if e["ph"] == "b" and e["name"] == "request"]
     ends = [e for e in tracer.events if e["ph"] == "e" and e["name"] == "request"]
     assert len(begins) == len(requests)

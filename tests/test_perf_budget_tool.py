@@ -76,19 +76,8 @@ def test_gate_fails_on_baseline_throughput_ratio():
     # exactly at the floor passes
     at_floor = bench(record("medium-A", cps=75.0), record("sdgc-shallow"))
     assert cpb.check_budget(at_floor, base, BUDGET) == []
-
-
-def test_steady_cps_falls_back_to_legacy_warm_shape():
-    legacy = {"tier": "x", "warm": {"columns_per_second": 42.0}}
-    assert cpb.steady_cps(legacy) == 42.0
+    # a record without a steady-state rate skips the ratio instead of failing
     assert cpb.steady_cps({"tier": "x", "warm": {}}) is None
-
-
-def test_load_records_accepts_legacy_single_benchmark():
-    recs = cpb.load_records({"benchmark": "144-24", "warm": {}})
-    assert list(recs) == ["144-24"]
-    with pytest.raises(ValueError):
-        cpb.load_records({"nope": 1})
 
 
 def test_main_exit_codes(tmp_path):
@@ -305,6 +294,8 @@ def test_qos_gate_only_isolation():
 
 def test_load_records_tolerates_qos_only_capture():
     assert cpb.load_records({"schema": 6, "qos": qos_record()}) == {}
+    with pytest.raises(ValueError):
+        cpb.load_records({"nope": 1})
 
 
 def test_main_only_qos_exit_codes(tmp_path):
@@ -331,20 +322,17 @@ def test_repro_load_bench_records_round_trips_all_schemas():
     from repro.serve.bench import load_bench_records
 
     tier_rec = record("sdgc-shallow")
-    # schema 2/3/4 share the "tiers" list; 4 adds the scale_out sibling
+    # the "tiers" list, beside any of its sibling records
     for payload in (
-        {"schema": 2, "tiers": [tier_rec]},
-        {"schema": 3, "tiers": [tier_rec], "multi": {}},
-        {"schema": 4, "tiers": [tier_rec], "scale_out": scale_record()},
+        {"schema": 6, "tiers": [tier_rec]},
+        {"schema": 6, "tiers": [tier_rec], "multi": {}},
+        {"schema": 6, "tiers": [tier_rec], "scale_out": scale_record()},
         {"schema": 6, "tiers": [tier_rec], "qos": qos_record()},
     ):
         recs = load_bench_records(payload)
         assert [r["tier"] for r in recs] == ["sdgc-shallow"]
-    # legacy single-benchmark dict wraps to one record
-    legacy = load_bench_records({"benchmark": "144-24", "warm": {}})
-    assert [r["tier"] for r in legacy] == ["144-24"]
     # record-only captures (--tiers none): empty, not an error
-    assert load_bench_records({"schema": 4, "scale_out": scale_record()}) == []
+    assert load_bench_records({"schema": 6, "scale_out": scale_record()}) == []
     assert load_bench_records({"schema": 6, "qos": qos_record()}) == []
     with pytest.raises(ConfigError):
         load_bench_records({"nope": 1})
@@ -353,9 +341,8 @@ def test_repro_load_bench_records_round_trips_all_schemas():
 
     # both loaders agree on every shape (the tool mirrors the repo loader)
     for payload in (
-        {"schema": 4, "tiers": [tier_rec], "scale_out": scale_record()},
-        {"benchmark": "144-24", "warm": {}},
-        {"schema": 4, "scale_out": scale_record()},
+        {"schema": 6, "tiers": [tier_rec], "scale_out": scale_record()},
+        {"schema": 6, "scale_out": scale_record()},
     ):
         tool_view = cpb.load_records(payload)
         repo_view = {r["tier"]: r for r in load_bench_records(payload)}

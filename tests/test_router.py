@@ -35,8 +35,6 @@ from repro.obs import MetricsRegistry
 from repro.radixnet import benchmark_input, build_benchmark
 from repro.serve import (
     AsyncRouter,
-    AsyncServeReport,
-    InferenceServer,
     EngineSession,
     MicroBatcher,
     ModelRegistry,
@@ -340,13 +338,12 @@ def _chunked_mixed(streams: dict, chunk: int):
 
 def _reference_outputs(net, cfg, stream, max_batch):
     net.drop_views()
-    server = InferenceServer(
-        EngineSession(net, cfg),
-        max_batch=max_batch,
-        max_wait_s=60.0,
-        queue_limit=len(stream),
+    registry = ModelRegistry()
+    registry.register("solo", session=EngineSession(net, cfg))
+    router = Router(
+        registry, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
     )
-    report = server.serve(iter(stream))
+    report = router.serve(("solo", y0) for y0 in stream).per_model["solo"]
     assert report.status == "ok"
     net.drop_views()
     return [t.y for t in report.served]
@@ -491,7 +488,7 @@ def test_router_report_status_merges_without_masking():
 
     shed = ServeReport(rejected=[(0, "full")])
     assert shed.status == "all_rejected"
-    failed = AsyncServeReport(failed=[(0, "boom")])
+    failed = ServeReport(failed=[(0, "boom")])
     assert failed.status == "all_failed"
     # all active tenants turned away -> all_rejected, regardless of how
     assert RouterReport(per_model={"a": shed, "b": failed}).status == "all_rejected"

@@ -1,4 +1,4 @@
-"""Warm-session serving layer: EngineSession, MicroBatcher, InferenceServer."""
+"""Warm-session serving layer: EngineSession, MicroBatcher, one-tenant Router."""
 
 import json
 
@@ -10,8 +10,9 @@ from repro.harness.experiments.common import sdgc_config
 from repro.radixnet import benchmark_input, build_benchmark
 from repro.serve import (
     EngineSession,
-    InferenceServer,
     MicroBatcher,
+    ModelRegistry,
+    Router,
     bench_serve,
     load_bench_records,
 )
@@ -41,6 +42,18 @@ class FakeClock:
 def make_session(bench) -> EngineSession:
     net, cfg, _ = bench
     return EngineSession(net, cfg)
+
+
+def solo_router(session, **kwargs) -> Router:
+    """A router whose only tenant, ``'m'``, is ``session``."""
+    registry = ModelRegistry()
+    registry.register("m", session=session)
+    return Router(registry, **kwargs)
+
+
+def serve_solo(router, requests):
+    """Serve a bare request stream to tenant ``'m'``; its ServeReport."""
+    return router.serve(("m", y0) for y0 in requests).per_model["m"]
 
 
 # -------------------------------------------------------------- EngineSession
@@ -245,12 +258,12 @@ def test_ticket_access_before_resolution_raises(bench):
         _ = ticket.latency_seconds
 
 
-# ------------------------------------------------------------ InferenceServer
+# ------------------------------------------------------- one-tenant Router
 def test_server_serves_stream_and_reports(bench):
     net, cfg, y0 = bench
     requests = [y0[:, lo : lo + 2] for lo in range(0, 32, 2)]
-    server = InferenceServer(make_session(bench), max_batch=8, max_wait_s=60.0)
-    report = server.serve(iter(requests))
+    router = solo_router(make_session(bench), max_batch=8, max_wait_s=60.0)
+    report = serve_solo(router, requests)
     assert report.requests == len(requests)
     assert len(report.served) == len(requests) and not report.rejected
     assert report.columns == 32
@@ -259,17 +272,17 @@ def test_server_serves_stream_and_reports(bench):
     assert quantiles["p50"] <= quantiles["p95"] <= quantiles["p100"]
     summary = report.summary()
     assert summary["served"] == len(requests)
-    assert server.stats()["batcher"]["batches"] >= 4
+    assert router.stats()["lanes"]["m"]["batches"] >= 4
 
 
 def test_server_overflow_is_recorded_not_silent(bench):
     net, cfg, y0 = bench
     requests = [y0[:, lo : lo + 1] for lo in range(12)]
     # queue of 2 and a batch the stream can never fill synchronously
-    server = InferenceServer(
+    router = solo_router(
         make_session(bench), max_batch=64, max_wait_s=60.0, queue_limit=2
     )
-    report = server.serve(iter(requests))
+    report = serve_solo(router, requests)
     assert len(report.rejected) == 10
     assert all(msg for _, msg in report.rejected)
     assert len(report.served) == 2
@@ -299,8 +312,8 @@ def test_serve_report_status_distinguishes_idle_from_shed(bench):
 
 def test_serve_report_status_ok_when_anything_served(bench):
     net, cfg, y0 = bench
-    server = InferenceServer(make_session(bench), max_batch=8, max_wait_s=60.0)
-    report = server.serve(iter([y0[:, :2]]))
+    router = solo_router(make_session(bench), max_batch=8, max_wait_s=60.0)
+    report = serve_solo(router, [y0[:, :2]])
     assert report.status == "ok"
     assert report.summary()["status"] == "ok"
     assert report.latency_quantiles() is not None
@@ -308,12 +321,12 @@ def test_serve_report_status_ok_when_anything_served(bench):
 
 def test_server_all_rejected_stream_reports_status(bench):
     net, cfg, y0 = bench
-    server = InferenceServer(
+    router = solo_router(
         make_session(bench), max_batch=64, max_wait_s=60.0, queue_limit=1
     )
     # saturate the queue before the stream: every arrival then overflows
-    parked = server.submit(y0[:, :1])
-    report = server.serve(iter(y0[:, :1] for _ in range(3)))
+    parked = router.submit("m", y0[:, :1])
+    report = serve_solo(router, (y0[:, :1] for _ in range(3)))
     assert parked.ready  # end-of-stream drain still resolves the old ticket
     assert report.status == "all_rejected"
     assert len(report.rejected) == 3 and not report.served
@@ -356,18 +369,6 @@ def test_bench_serve_writes_machine_readable_json(tmp_path):
     assert steady["blocks"] == rec["warm"]["batcher"]["batches"] - 1
     assert rec["warm"]["first_block"]["busy_seconds"] > 0
     assert rec["warm"]["session"]["warmup_seconds"] > 0
-
-
-def test_load_bench_records_accepts_legacy_shape():
-    legacy = {"benchmark": "144-24", "cold": {}, "warm": {}, "speedup": 1.0}
-    records = load_bench_records(legacy)
-    assert records[0]["tier"] == "144-24"
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        load_bench_records({"something": "else"})
-    with pytest.raises(ConfigError):
-        load_bench_records([])
 
 
 def test_bench_serve_reuse_ab_pass_on_repeat_stream(tmp_path):
@@ -497,8 +498,8 @@ def test_on_resolve_sees_failed_tickets_too():
 # -------------------------------------------------------------- JSON export
 def test_serve_report_to_json_is_json_dumpable(bench):
     net, cfg, y0 = bench
-    server = InferenceServer(make_session(bench), max_batch=8, max_wait_s=60.0)
-    report = server.serve(iter([y0[:, :2], y0[:, 2:4]]))
+    router = solo_router(make_session(bench), max_batch=8, max_wait_s=60.0)
+    report = serve_solo(router, [y0[:, :2], y0[:, 2:4]])
     assert report.status == "ok"
     # consumers go through to_json: everything (numpy scalars included)
     # must be plain JSON by the time json.dumps sees it

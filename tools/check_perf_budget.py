@@ -5,15 +5,15 @@ Replaces the old warning-only ">25% below baseline" check: every tier named
 in the budget file must be present in the fresh bench output, meet its
 warm-over-cold floor, satisfy its bitwise-output requirement, and stay above
 the committed-baseline throughput ratio.  A ``scale_out`` budget section
-additionally gates the schema-4 fleet record: per-worker-count *capacity*
+additionally gates the fleet record: per-worker-count *capacity*
 speedup floors (capacity — total columns over the critical-path worker's
 CPU seconds — is used instead of wall-clock so the gate is stable across
 runners with different core counts), bitwise ``outputs_identical`` at every
 count, and a successful crash-recovery run.  A ``warm_boot`` budget section
-gates the schema-5 persistent-warmup record: the artifact boot must be at
+gates the persistent-warmup record: the artifact boot must be at
 least ``min_speedup`` times faster than the cold warmup + priming path and
 its outputs bitwise identical across the loaded/fresh/cold triangle.  A
-``qos`` budget section gates the schema-6 QoS A/B record: the interactive
+``qos`` budget section gates the QoS A/B record: the interactive
 tenant's mixed-load p99 must stay within ``max_interactive_p99_ratio`` of
 its solo-run p99 under the QoS scheduler, the no-QoS FIFO arm must
 demonstrably breach that same ceiling (otherwise the A/B proves nothing),
@@ -48,30 +48,23 @@ def load_records(data: dict) -> dict[str, dict]:
     """Tier-name -> record from a BENCH_serve-shaped object.
 
     Mirrors :func:`repro.serve.bench.load_bench_records` without importing
-    the repo: the schema-2/3/4 ``tiers`` list, the legacy single-benchmark
-    dict, or a scale-out-only capture (``tiers`` absent entirely — an empty
-    mapping, not an error, so ``--only scale_out`` runs can gate a bench
-    file produced with ``--tiers none``).
+    the repo: the ``tiers`` list, or a record-only capture (``tiers`` absent
+    entirely — an empty mapping, not an error, so ``--only scale_out`` runs
+    can gate a bench file produced with ``--tiers none``).
     """
     if "tiers" in data:
-        return {rec.get("tier", rec.get("benchmark")): rec for rec in data["tiers"]}
-    if "benchmark" in data:
-        return {data.get("tier", data["benchmark"]): data}
+        return {rec["tier"]: rec for rec in data["tiers"]}
     if "scale_out" in data or "qos" in data:
         return {}
     raise ValueError(
-        "unrecognized BENCH_serve layout (no 'tiers', 'benchmark', "
-        "'scale_out', or 'qos' key)"
+        "unrecognized BENCH_serve layout (no 'tiers', 'scale_out', or 'qos' key)"
     )
 
 
 def steady_cps(rec: dict) -> float | None:
-    """Steady-state warm columns/second, falling back for legacy records."""
-    steady = (rec.get("warm") or {}).get("steady_state")
-    if steady and steady.get("columns_per_second"):
-        return float(steady["columns_per_second"])
-    warm = rec.get("warm") or {}
-    cps = warm.get("columns_per_second")
+    """Steady-state warm columns/second of a tier record."""
+    steady = (rec.get("warm") or {}).get("steady_state") or {}
+    cps = steady.get("columns_per_second")
     return float(cps) if cps else None
 
 
