@@ -218,20 +218,20 @@ def _serve_router(args, models) -> int:
     from repro.harness.experiments.common import sdgc_config
     from repro.harness.workloads import get_benchmark, get_input
     from repro.serve import AsyncRouter, ModelRegistry, Router
-    from repro.serve.bench import _split_requests, poisson_interarrivals
-
-    budget_bytes = (
-        int(args.memory_budget_mb * 1024 * 1024)
-        if args.memory_budget_mb is not None
-        else None
+    from repro.serve.bench import (
+        _budget_bytes,
+        _round_robin,
+        _split_requests,
+        poisson_interarrivals,
     )
+
     try:
         qos_map = _parse_qos_flags(args, {name for name, _ in models}) or {}
     except ValueError as exc:
         log.error(str(exc))
         return 2
     tracer, _ = _make_obs(args)
-    registry = ModelRegistry(memory_budget_bytes=budget_bytes)
+    registry = ModelRegistry(memory_budget_bytes=_budget_bytes(args.memory_budget_mb))
     streams: dict[str, list] = {}
     for name, benchmark in models:
         net = get_benchmark(benchmark)
@@ -255,15 +255,7 @@ def _serve_router(args, models) -> int:
     obs_server = _start_obs_endpoint(
         args, registry.metrics, slo_provider=registry.slo_report_json
     )
-    # round-robin the tenants in block-sized chunks of requests
-    chunk = max(1, args.max_batch // args.request_cols)
-    mixed: list[tuple[str, np.ndarray]] = []
-    offset = 0
-    while any(offset < len(s) for s in streams.values()):
-        for name, s in streams.items():
-            for y0 in s[offset : offset + chunk]:
-                mixed.append((name, y0))
-        offset += chunk
+    mixed = _round_robin(streams, max(1, args.max_batch // args.request_cols))
     interarrivals = None
     if args.arrival_rate is not None:
         interarrivals = poisson_interarrivals(len(mixed), args.arrival_rate, args.seed)
@@ -346,7 +338,7 @@ def _serve_fleet(args, tenants) -> int:
     import numpy as np
 
     from repro.harness.workloads import get_input
-    from repro.serve.bench import _split_requests
+    from repro.serve.bench import _budget_bytes, _split_requests
     from repro.serve.fleet import FleetDispatcher, TenantSpec
 
     if args.arrival_rate is not None:
@@ -367,18 +359,13 @@ def _serve_fleet(args, tenants) -> int:
         )
         for name, benchmark in tenants
     ]
-    budget_bytes = (
-        int(args.memory_budget_mb * 1024 * 1024)
-        if args.memory_budget_mb is not None
-        else None
-    )
     fleet = FleetDispatcher(
         specs,
         workers=args.workers,
         max_batch=args.max_batch,
         max_wait_s=args.max_wait_ms / 1e3,
         queue_limit=args.queue_limit,
-        memory_budget_bytes=budget_bytes,
+        memory_budget_bytes=_budget_bytes(args.memory_budget_mb),
         worker_obs=args.obs_port is not None,
     )
     obs_server = None
@@ -447,19 +434,15 @@ def _cmd_warmup(args) -> int:
     import dataclasses
 
     from repro.serve import EngineSession
-    from repro.serve.bench import (
-        _serve_solo,
-        _shape_stream,
-        _split_requests,
-        _tier_workload,
-    )
+    from repro.serve.bench import _serve_solo, _tier_stream
 
     if (args.save is None) == (args.load is None):
         log.error("warmup wants exactly one of --save PATH or --load PATH")
         return 2
     prime = max(args.prime, 0) if args.save is not None else 0
-    net, cfg, pool = _tier_workload(
-        args.benchmark, max(prime, 1) * args.request_cols, args.seed
+    net, cfg, stream = _tier_stream(
+        args.benchmark, max(prime, 1), args.request_cols, args.seed,
+        "repeat", args.max_batch,
     )
     if args.threshold is not None:
         cfg = dataclasses.replace(cfg, threshold_layer=args.threshold)
@@ -487,8 +470,7 @@ def _cmd_warmup(args) -> int:
     if prime > 0:
         # priming traffic teaches the session what warmup alone cannot:
         # centroid-cache fills with staleness baselines, per-bucket costs
-        shaped = _shape_stream(pool, "repeat", args.max_batch)
-        _serve_solo(session, _split_requests(shaped, args.request_cols), args.max_batch)
+        _serve_solo(session, stream, args.max_batch)
     manifest = session.save_warm_state(args.save)
     log.info(f"saved {args.save} ({manifest['size_bytes']} bytes) for "
              f"{net.name} [{manifest['fingerprint']}]: "
@@ -667,6 +649,9 @@ def _add_reuse_flags(parser: argparse.ArgumentParser) -> None:
              "baseline*(1+T) assignment distance / residue density "
              "(default 0.5; 0 admits only blocks as tight as the fill block)",
     )
+
+
+def _add_revise_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--revise-ratio", type=float, default=None, metavar="R",
         help="arm the strategy memo's measure-and-revise loop: when a "
@@ -814,6 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
              "interactive with weight 1 and no limit",
     )
     _add_reuse_flags(serve_p)
+    _add_revise_flag(serve_p)
     _add_obs_flags(serve_p)
     _add_endpoint_flags(serve_p)
     serve_p.set_defaults(fn=_cmd_serve)
@@ -884,7 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bserve_p.add_argument(
         "--slo", default=None, metavar="SPEC",
-        help="per-tenant SLO for the --multi record "
+        help="per-tenant SLO for the --multi and --qos records "
              "(default: the built-in p99<250ms@30s/95%% policy)",
     )
     bserve_p.add_argument(
@@ -937,6 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     warm_p.add_argument("--threshold", type=int, default=None)
     warm_p.add_argument("--seed", type=int, default=1)
     _add_reuse_flags(warm_p)
+    _add_revise_flag(warm_p)
     warm_p.set_defaults(fn=_cmd_warmup)
     return parser
 

@@ -40,10 +40,22 @@ trajectory.  The record has one section per question:
     baselines, the interactive p99 inflation ratio the CI gate bounds,
     bitwise ``outputs_identical`` checks against the solo runs, and the shed
     accounting identity (submitted == served + shed + failed).
+
+Every serve in every in-process section — tier warm and reuse passes, the
+async A/B, warm-boot serves, multi references and the mixed run, the
+scale-out reference, QoS solo runs and both arms — goes through one
+harness, :func:`_pass`: a fresh :class:`~repro.serve.router.ModelRegistry`
+holding the pass's tenants, one router over it with ``max_wait_s`` high
+enough that blocks pack identically on either transport, and one
+:meth:`~repro.serve.router.Router.serve` of the request list.  Sections
+read what they record from the returned router and
+:class:`~repro.serve.router.RouterReport`.  The fleet passes of
+``scale_out`` go through :func:`_fleet_pass` instead.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -59,7 +71,7 @@ from repro.harness.experiments.common import sdgc_config
 from repro.harness.runner import run_engine
 from repro.harness.workloads import get_benchmark, get_input
 from repro.obs import Tracer
-from repro.serve.router import AsyncRouter, ModelRegistry, Router, ServeReport
+from repro.serve.router import AsyncRouter, ModelRegistry, Router, RouterReport, ServeReport
 from repro.serve.session import EngineSession
 
 __all__ = [
@@ -156,8 +168,14 @@ def _shape_stream(y0: np.ndarray, stream: str, max_batch: int) -> np.ndarray:
     raise ConfigError(f"unknown stream mode {stream!r}; known: {STREAM_MODES}")
 
 
-def _tier_workload(tier: str, total_cols: int, seed: int):
-    """Resolve one tier to ``(net, cfg, base column pool)``."""
+def _tier_stream(
+    tier: str, requests: int, request_cols: int, seed: int,
+    shape: str = "mix", max_batch: int = 0,
+):
+    """``(net, cfg, stream)``: ``requests`` requests of ``request_cols``
+    columns each, drawn from ``tier`` and shaped by ``shape`` (see
+    :func:`_shape_stream`; ``repeat`` tiles ``max_batch`` columns)."""
+    total_cols = requests * request_cols
     source = _TIER_SOURCES.get(tier, tier)
     if source.startswith("medium:"):
         from repro.harness.experiments.table4 import medium_config
@@ -168,44 +186,117 @@ def _tier_workload(tier: str, total_cols: int, seed: int):
         reps = -(-total_cols // images.shape[0])
         if reps > 1:
             images = np.concatenate([images] * reps)
-        y0 = tm.stack.head(images[:total_cols])
-        return tm.stack.network, medium_config(tm.spec.sparse_layers), y0
-    net = get_benchmark(source)
-    return net, sdgc_config(net.num_layers), np.asarray(get_input(source, total_cols, seed))
+        net, cfg = tm.stack.network, medium_config(tm.spec.sparse_layers)
+        pool = tm.stack.head(images[:total_cols])
+    else:
+        net = get_benchmark(source)
+        cfg = sdgc_config(net.num_layers)
+        pool = np.asarray(get_input(source, total_cols, seed))
+    return net, cfg, _split_requests(_shape_stream(pool, shape, max_batch), request_cols)
+
+
+def _round_robin(streams: dict[str, list], chunk: int) -> list[tuple[str, np.ndarray]]:
+    """Interleave per-tenant request lists in runs of ``chunk`` requests.
+
+    Block-sized runs let every tenant flush full blocks, so budget
+    enforcement and lane scheduling act per block, not per request.
+    """
+    longest = max((len(s) for s in streams.values()), default=0)
+    return [
+        (name, y0)
+        for offset in range(0, longest, chunk)
+        for name, stream in streams.items()
+        for y0 in stream[offset : offset + chunk]
+    ]
+
+
+def _budget_bytes(memory_budget_mb: float | None) -> int | None:
+    """A megabyte memory budget in bytes; ``None`` stays unlimited."""
+    return None if memory_budget_mb is None else int(memory_budget_mb * 1024 * 1024)
 
 
 #: tenant name of the bench's one-tenant routers
 SOLO = "solo"
 
 
-def _serve_solo(
-    session, stream, max_batch, transport=Router, interarrivals=None
-) -> tuple[Router | AsyncRouter, ServeReport]:
-    """Serve ``stream`` through a one-tenant router over ``session``.
+def _pass(
+    tenants: dict, items: list, max_batch: int, transport=Router,
+    interarrivals=None, memory_budget_bytes: int | None = None, **router_kw,
+) -> tuple[Router | AsyncRouter, RouterReport]:
+    """Serve ``items`` once through a fresh registry and router.
 
-    ``max_wait_s`` stays high, so blocks pack identically on either
-    transport.  Returns the router (its lane stays readable) and the
-    tenant's report.
+    ``tenants`` maps a name to a prebuilt :class:`EngineSession` or to a
+    spec ``{"net", "cfg"[, "slo", "qos"]}``.  Spec tenants register warm,
+    after their networks' memoized views are dropped, so every pass builds
+    its warm state itself.  ``max_wait_s`` stays high, so blocks pack
+    identically on either transport, and the queue holds the whole stream.
+    Returns the router (lanes and stats stay readable) and its report.
     """
-    registry = ModelRegistry()
-    registry.register(SOLO, session=session)
+    specs = {name: t for name, t in tenants.items() if isinstance(t, dict)}
+    for spec in specs.values():
+        spec["net"].drop_views()
+    registry = ModelRegistry(memory_budget_bytes=memory_budget_bytes)
+    for name, tenant in tenants.items():
+        if name in specs:
+            registry.register(
+                name, tenant["net"], config=tenant["cfg"], warm=True,
+                slo=tenant.get("slo"), qos=tenant.get("qos"),
+            )
+        else:
+            registry.register(name, session=tenant)
     router = transport(
-        registry, max_batch=max_batch, max_wait_s=60.0, queue_limit=len(stream)
+        registry, max_batch=max_batch, max_wait_s=60.0,
+        queue_limit=len(items) + 1, **router_kw,
     )
-    report = router.serve(((SOLO, y0) for y0 in stream), interarrivals=interarrivals)
+    return router, router.serve(items, interarrivals=interarrivals)
+
+
+def _serve_solo(
+    tenant, stream, max_batch: int, **pass_kw
+) -> tuple[Router | AsyncRouter, ServeReport]:
+    """:func:`_pass` with ``tenant`` as the router's only tenant; returns
+    the router and the tenant's :class:`ServeReport`."""
+    router, report = _pass(
+        {SOLO: tenant}, [(SOLO, y0) for y0 in stream], max_batch, **pass_kw
+    )
     return router, report.per_model[SOLO]
 
 
-def _warm_pass(
-    net, cfg, stream, max_batch, tracer=None, centroid_reuse=False, reuse_tolerance=0.5
-):
-    """One full serve of ``stream`` through a fresh warm session."""
-    session = EngineSession(
-        net, cfg, tracer=tracer,
-        centroid_reuse=centroid_reuse, reuse_tolerance=reuse_tolerance,
-    )
-    router, report = _serve_solo(session, stream, max_batch)
-    return session, router, report
+def _outputs(served, field: str = "y") -> np.ndarray:
+    """``field`` of every served result side by side, in submit order."""
+    return np.hstack([getattr(t, field) for t in served]) if served else np.empty(0)
+
+
+def _same(first: np.ndarray, *others: np.ndarray) -> bool:
+    """Bitwise equality of every output block with the first."""
+    return all(np.array_equal(first, other) for other in others)
+
+
+def _timing(report: ServeReport) -> dict:
+    """Wall time, throughput, latency quantiles and status of one serve."""
+    return {
+        "seconds": report.wall_seconds,
+        "requests_per_second": report.requests_per_second,
+        "columns_per_second": report.columns_per_second,
+        "latency_seconds": report.latency_quantiles(),
+        "status": report.status,
+    }
+
+
+@contextlib.contextmanager
+def _artifact(session: EngineSession, name: str):
+    """Save ``session``'s warm state to a temporary file, removed on exit.
+
+    Yields ``(path, save manifest, save seconds)``.
+    """
+    art_dir = tempfile.mkdtemp(prefix="repro-warmstore-")
+    try:
+        path = os.path.join(art_dir, f"{name}.warmstate")
+        t0 = time.perf_counter()
+        manifest = session.save_warm_state(path)
+        yield path, manifest, time.perf_counter() - t0
+    finally:
+        shutil.rmtree(art_dir, ignore_errors=True)
 
 
 def _async_ab(
@@ -236,33 +327,21 @@ def _async_ab(
         EngineSession(net, cfg), stream, max_batch,
         transport=AsyncRouter, interarrivals=gaps,
     )
-
-    sync_y = np.hstack([t.y for t in s_report.served])
-    async_y = np.hstack([t.y for t in a_report.served])
-    sync_cats = np.concatenate([t.categories for t in s_report.served])
-    async_cats = np.concatenate([t.categories for t in a_report.served])
-    ref_cats = np.concatenate([t.categories for t in reference_served])
     return {
         "arrival_rate_rps": rate,
         "arrival_seconds": float(gaps.sum()),
-        "sync": {
-            "seconds": s_report.wall_seconds,
-            "requests_per_second": s_report.requests_per_second,
-            "latency_seconds": s_report.latency_quantiles(),
-            "status": s_report.status,
-        },
+        "sync": _timing(s_report),
         "async": {
-            "seconds": a_report.wall_seconds,
-            "requests_per_second": a_report.requests_per_second,
-            "latency_seconds": a_report.latency_quantiles(),
-            "status": a_report.status,
+            **_timing(a_report),
             "overlap_fraction": a_report.overlap_fraction,
             "exec_seconds": a_report.exec_seconds,
             "failed": len(a_report.failed),
         },
-        "outputs_identical": bool(np.array_equal(async_y, sync_y)),
-        "categories_match": bool(
-            (async_cats == sync_cats).all() and (async_cats == ref_cats).all()
+        "outputs_identical": _same(_outputs(a_report.served), _outputs(s_report.served)),
+        "categories_match": _same(
+            _outputs(a_report.served, "categories"),
+            _outputs(s_report.served, "categories"),
+            _outputs(reference_served, "categories"),
         ),
         "async_ge_sync": bool(
             a_report.requests_per_second >= s_report.requests_per_second
@@ -277,7 +356,6 @@ def _async_ab(
 
 def _run_tier(
     tier: str,
-    benchmark_source: str,
     requests: int,
     request_cols: int,
     max_batch: int,
@@ -291,27 +369,25 @@ def _run_tier(
     arrival_rate: float | None = None,
 ) -> dict:
     """Measure one tier: cold pass, warm pass, and the optional reuse A/B."""
-    total_cols = requests * request_cols
-    net, cfg, pool = _tier_workload(benchmark_source, total_cols, seed)
+    net, cfg, stream = _tier_stream(
+        tier, requests, request_cols, seed, stream_mode, max_batch
+    )
     if threshold is not None:
         cfg = dataclasses.replace(cfg, threshold_layer=threshold)
-    pool = _shape_stream(pool, stream_mode, max_batch)
-    stream = _split_requests(pool, request_cols)
 
     # the warm session's warmup also pre-builds the shared weight views the
     # cold path will then hit through the network cache, so the comparison
     # isolates steady-state serving cost (engine construction + packing)
-    session, router, report = _warm_pass(net, cfg, stream, max_batch, tracer=tracer)
+    session = EngineSession(net, cfg, tracer=tracer)
+    router, report = _serve_solo(session, stream, max_batch)
 
     t0 = time.perf_counter()
-    cold_runs = [run_engine("snicit", net, y0, snicit_config=cfg) for y0 in stream]
+    cold_runs = [
+        run_engine("snicit", net, y0, snicit_config=cfg).result for y0 in stream
+    ]
     cold_seconds = time.perf_counter() - t0
-
-    cold_cats = np.concatenate([run.result.categories for run in cold_runs])
-    warm_cats = np.concatenate([t.categories for t in report.served])
-    cold_y = np.hstack([run.result.y for run in cold_runs])
-    warm_y = np.hstack([t.y for t in report.served])
-    cold_busy = sum(sum(r.result.stage_seconds.values()) for r in cold_runs)
+    cold_busy = sum(sum(r.stage_seconds.values()) for r in cold_runs)
+    warm_cats = _outputs(report.served, "categories")
 
     # per-block engine seconds, in serve order (tickets of one block share
     # its InferenceResult); the steady-state view drops the first block so
@@ -337,13 +413,14 @@ def _run_tier(
         {"busy_seconds": blocks[0][0], "columns": blocks[0][1]} if blocks else None
     )
 
+    total_columns = sum(y0.shape[1] for y0 in stream)
     record = {
         "tier": tier,
         "benchmark": net.name,
         "paper_name": net.meta.get("paper_name"),
         "requests": len(stream),
         "request_cols": request_cols,
-        "total_columns": sum(y0.shape[1] for y0 in stream),
+        "total_columns": total_columns,
         "max_batch": max_batch,
         "threshold_layer": cfg.for_network(net.num_layers).threshold_layer,
         "stream": stream_mode,
@@ -351,15 +428,10 @@ def _run_tier(
             "seconds": cold_seconds,
             "busy_seconds": cold_busy,
             "requests_per_second": len(stream) / cold_seconds if cold_seconds else 0.0,
-            "columns_per_second": (
-                sum(y0.shape[1] for y0 in stream) / cold_seconds if cold_seconds else 0.0
-            ),
+            "columns_per_second": total_columns / cold_seconds if cold_seconds else 0.0,
         },
         "warm": {
-            "seconds": report.wall_seconds,
-            "requests_per_second": report.requests_per_second,
-            "columns_per_second": report.columns_per_second,
-            "latency_seconds": report.latency_quantiles(),
+            **_timing(report),
             "rejected": len(report.rejected),
             "batcher": router.lane(SOLO).stats(),
             # one-time costs, reported apart from steady-state throughput
@@ -379,13 +451,12 @@ def _run_tier(
         # throughput (warmup and the first block excluded) against the cold
         # per-request engine throughput on the same stream
         "warm_over_cold": (
-            steady_state["columns_per_second"]
-            / (sum(y0.shape[1] for y0 in stream) / cold_seconds)
+            steady_state["columns_per_second"] / (total_columns / cold_seconds)
             if cold_seconds > 0 and steady_state["columns_per_second"] > 0
             else 0.0
         ),
-        "categories_match": bool((cold_cats == warm_cats).all()),
-        "outputs_identical": bool(np.array_equal(warm_y, cold_y)),
+        "categories_match": _same(_outputs(cold_runs, "categories"), warm_cats),
+        "outputs_identical": _same(_outputs(report.served), _outputs(cold_runs)),
     }
 
     if async_ab:
@@ -395,25 +466,19 @@ def _run_tier(
         )
 
     if centroid_reuse:
-        r_session, r_router, r_report = _warm_pass(
-            net, cfg, stream, max_batch,
-            centroid_reuse=True, reuse_tolerance=reuse_tolerance,
+        r_session = EngineSession(
+            net, cfg, centroid_reuse=True, reuse_tolerance=reuse_tolerance
         )
-        off_y = np.hstack([t.y for t in report.served])
-        on_y = np.hstack([t.y for t in r_report.served])
-        on_cats = np.concatenate([t.categories for t in r_report.served])
+        r_router, r_report = _serve_solo(r_session, stream, max_batch)
         record["reuse"] = {
             "tolerance": reuse_tolerance,
-            "warm": {
-                "seconds": r_report.wall_seconds,
-                "requests_per_second": r_report.requests_per_second,
-                "columns_per_second": r_report.columns_per_second,
-                "latency_seconds": r_report.latency_quantiles(),
-            },
+            "warm": _timing(r_report),
             "cache": r_session.reuse.stats(),
             "reuse_blocks": dict(r_router.lane(SOLO).reuse_outcomes),
-            "outputs_identical": bool(np.array_equal(on_y, off_y)),
-            "categories_match": bool((on_cats == warm_cats).all()),
+            "outputs_identical": _same(
+                _outputs(r_report.served), _outputs(report.served)
+            ),
+            "categories_match": _same(_outputs(r_report.served, "categories"), warm_cats),
             "speedup_vs_warm": (
                 report.wall_seconds / r_report.wall_seconds
                 if r_report.wall_seconds > 0
@@ -456,56 +521,27 @@ def _run_multi(
     change served outputs: the single-tenant references run *without*
     trackers, and the mixed run must still match them bitwise.
     """
-    budget_bytes = (
-        int(memory_budget_mb * 1024 * 1024) if memory_budget_mb is not None else None
-    )
     tenants: dict[str, dict] = {}
+    streams: dict[str, list] = {}
+    references: dict[str, ServeReport] = {}
     for tier in tiers:
-        net, cfg, pool = _tier_workload(tier, requests * request_cols, seed)
-        net.drop_views()  # a prior tier may share this network object warm
-        tenants[tier] = {
-            "net": net,
-            "cfg": cfg,
-            "stream": _split_requests(pool, request_cols),
-        }
-
-    # single-tenant references: same stream, same batcher geometry, no
-    # neighbors — the bar the mixed run must match bitwise
-    for name, tenant in tenants.items():
-        _, _, tenant["reference"] = _warm_pass(
-            tenant["net"], tenant["cfg"], tenant["stream"], max_batch
+        net, cfg, streams[tier] = _tier_stream(tier, requests, request_cols, seed)
+        # single-tenant reference: same stream, same batcher geometry, no
+        # neighbors — the bar the mixed run must match bitwise
+        _, references[tier] = _serve_solo(
+            {"net": net, "cfg": cfg}, streams[tier], max_batch
         )
-        tenant["net"].drop_views()  # hand the views back cold to the router
+        tenants[tier] = {"net": net, "cfg": cfg, "slo": slo}
 
-    registry = ModelRegistry(memory_budget_bytes=budget_bytes)
-    for name, tenant in tenants.items():
-        registry.register(
-            name, tenant["net"], config=tenant["cfg"], warm=True, slo=slo
-        )
-    router = Router(
-        registry, max_batch=max_batch, max_wait_s=60.0,
-        queue_limit=max(len(t["stream"]) for t in tenants.values()),
+    router, report = _pass(
+        tenants, _round_robin(streams, max(1, max_batch // request_cols)), max_batch,
+        memory_budget_bytes=_budget_bytes(memory_budget_mb),
     )
-
-    # round-robin in block-sized chunks so every tenant flushes full blocks
-    # and budget enforcement happens per block, not per request
-    chunk = max(1, max_batch // request_cols)
-    mixed: list[tuple[str, np.ndarray]] = []
-    offset = 0
-    while any(offset < len(t["stream"]) for t in tenants.values()):
-        for name, tenant in tenants.items():
-            for y0 in tenant["stream"][offset : offset + chunk]:
-                mixed.append((name, y0))
-        offset += chunk
-
-    report = router.serve(iter(mixed))
 
     per_tenant = {}
-    for name, tenant in tenants.items():
-        ref, mine = tenant["reference"], report.per_model[name]
-        identical = len(ref.served) == len(mine.served) and all(
-            np.array_equal(t.y, rt.y) for t, rt in zip(mine.served, ref.served)
-        )
+    for name, ref in references.items():
+        mine = report.per_model[name]
+        identical = _same(_outputs(mine.served), _outputs(ref.served))
         lane = router.lane(name).stats()
         per_tenant[name] = {
             "requests": mine.requests,
@@ -515,11 +551,11 @@ def _run_multi(
             "columns_per_second": mine.columns_per_second,
             "latency_seconds": mine.latency_quantiles(),
             "status": mine.status,
-            "isolation_identical": bool(identical),
+            "isolation_identical": identical,
             # same check, stated as the SLO-instrumentation invariant: the
             # references ran without trackers, so a bitwise match proves the
             # telemetry path never touched served outputs
-            "outputs_identical": bool(identical),
+            "outputs_identical": identical,
             "single_tenant_seconds": ref.wall_seconds,
             "single_tenant_columns_per_second": ref.columns_per_second,
             "hol_stalls": lane["hol_stalls"],
@@ -530,7 +566,7 @@ def _run_multi(
             "slo": (report.slo or {}).get(name),
         }
 
-    budget_stats = registry.budget.stats()
+    budget_stats = router.registry.budget.stats()
     return {
         "tenants": list(tiers),
         "requests_per_tenant": requests,
@@ -540,9 +576,7 @@ def _run_multi(
         "slo_spec": slo,
         "router": report.to_json(),
         "per_tenant": per_tenant,
-        "isolation_identical": bool(
-            all(t["isolation_identical"] for t in per_tenant.values())
-        ),
+        "isolation_identical": all(t["isolation_identical"] for t in per_tenant.values()),
         "demoted": list(report.demoted),
         "budget": budget_stats,
         "under_budget": (
@@ -550,7 +584,7 @@ def _run_multi(
             if budget_stats["limit_bytes"] is not None
             else None
         ),
-        "metrics": registry.metrics.snapshot(),
+        "metrics": router.registry.metrics.snapshot(),
     }
 
 
@@ -580,27 +614,6 @@ def _balanced_streams(count: int, workers: int) -> list[str]:
     return names
 
 
-def _single_process_reference(net, cfg, items, max_batch) -> dict:
-    """Per-stream hstacked outputs from one in-process stream-lane router."""
-    net.drop_views()
-    registry = ModelRegistry()
-    registry.register("m", net, config=cfg, warm=True)
-    router = AsyncRouter(
-        registry, max_batch=max_batch, max_wait_s=60.0,
-        queue_limit=len(items) + 1,
-    )
-    tickets = [
-        (stream, router.submit(model, y0, stream=stream))
-        for model, stream, y0 in items
-    ]
-    router.close(drain=True)
-    outputs: dict[str, list] = {}
-    for stream, ticket in tickets:
-        outputs.setdefault(stream, []).append(ticket.y)
-    net.drop_views()  # hand the memoized network back cold
-    return {s: np.hstack(parts) for s, parts in outputs.items()}
-
-
 def _fleet_pass(spec, items, workers, max_batch, kill: int | None = None):
     """One fleet serve of ``items``; optionally SIGKILL a worker mid-stream."""
     from repro.serve.fleet import FleetDispatcher
@@ -627,15 +640,13 @@ def _streams_identical(report, reference, streams) -> bool:
     )
 
 
-def _run_warm_boot(
-    tier: str,
-    requests: int,
-    request_cols: int,
-    max_batch: int,
-    seed: int,
-    reuse_tolerance: float = 0.0,
-    revise_ratio: float | None = 2.0,
-) -> dict:
+#: tier of the warm-boot record, and the settings its sessions run with
+_WARM_BOOT_TIER = "sdgc-shallow"
+_WARM_BOOT_TOLERANCE = 0.0
+_WARM_BOOT_REVISE_RATIO = 2.0
+
+
+def _run_warm_boot(requests: int, request_cols: int, max_batch: int, seed: int) -> dict:
     """Persistent-warmup record: artifact boot vs cold warm+prime.
 
     The cold path to a fully warm session is two-phase: ``warmup()`` bakes
@@ -647,31 +658,30 @@ def _run_warm_boot(
         cold.ready_seconds  = warmup_seconds + prime_seconds   (bake + learn)
         artifact.load_seconds                                   (one load)
 
-    The stream is ``repeat`` with ``reuse_tolerance=0.0`` — the regime where
+    The stream is ``repeat`` with reuse tolerance 0 — the regime where
     centroid reuse is bitwise lossless — so the record can also assert the
     identity triangle: loaded-warm == freshly-warmed == cold-boot outputs,
-    all bitwise.  ``revise_ratio`` keeps the measure-and-revise loop armed
-    on every session, proving a loaded plan revises like a baked one.
+    all bitwise.  Every session keeps the measure-and-revise loop armed
+    (revise ratio 2), proving a loaded plan revises like a baked one.
     """
-    total_cols = requests * request_cols
-    net, cfg, pool = _tier_workload(tier, total_cols, seed)
-    pool = _shape_stream(pool, "repeat", max_batch)
-    stream = _split_requests(pool, request_cols)
+    tier = _WARM_BOOT_TIER
+    net, cfg, stream = _tier_stream(
+        tier, requests, request_cols, seed, "repeat", max_batch
+    )
 
-    def fresh_session():
+    def boot():
+        net.drop_views()
         return EngineSession(
             net, cfg, warm=False,
-            centroid_reuse=True, reuse_tolerance=reuse_tolerance,
-            revise_ratio=revise_ratio,
+            centroid_reuse=True, reuse_tolerance=_WARM_BOOT_TOLERANCE,
+            revise_ratio=_WARM_BOOT_REVISE_RATIO,
         )
 
     def serve(session):
-        _, report = _serve_solo(session, stream, max_batch)
-        return np.hstack([t.y for t in report.served])
+        return _outputs(_serve_solo(session, stream, max_batch)[1].served)
 
     # ---- cold boot: bake the plan, then learn from the priming pass
-    net.drop_views()
-    cold = fresh_session()
+    cold = boot()
     t0 = time.perf_counter()
     cold.warmup()
     warmup_seconds = time.perf_counter() - t0
@@ -679,28 +689,18 @@ def _run_warm_boot(
     cold_y = serve(cold)
     prime_seconds = time.perf_counter() - t0
 
-    art_dir = tempfile.mkdtemp(prefix="repro-warmstore-")
-    art_path = os.path.join(art_dir, f"{tier}.warmstate")
-    try:
-        t0 = time.perf_counter()
-        save_manifest = cold.save_warm_state(art_path)
-        save_seconds = time.perf_counter() - t0
-
+    with _artifact(cold, tier) as (path, save_manifest, save_seconds):
         # freshly-warmed reference: bakes its own plan, learns its own cache
-        net.drop_views()
-        fresh = fresh_session()
+        fresh = boot()
         fresh.warmup()
         fresh_y = serve(fresh)
 
         # artifact boot: one load call replaces warmup *and* priming
-        net.drop_views()
-        loaded = fresh_session()
+        loaded = boot()
         t0 = time.perf_counter()
-        load_manifest = loaded.load_warm_state(art_path)
+        load_manifest = loaded.load_warm_state(path)
         load_seconds = time.perf_counter() - t0
         loaded_y = serve(loaded)
-    finally:
-        shutil.rmtree(art_dir, ignore_errors=True)
     net.drop_views()
 
     ready_seconds = warmup_seconds + prime_seconds
@@ -711,8 +711,8 @@ def _run_warm_boot(
         "request_cols": request_cols,
         "max_batch": max_batch,
         "stream": "repeat",
-        "reuse_tolerance": reuse_tolerance,
-        "revise_ratio": revise_ratio,
+        "reuse_tolerance": _WARM_BOOT_TOLERANCE,
+        "revise_ratio": _WARM_BOOT_REVISE_RATIO,
         "cold": {
             "warmup_seconds": warmup_seconds,
             "prime_seconds": prime_seconds,
@@ -733,21 +733,17 @@ def _run_warm_boot(
         "speedup": ready_seconds / load_seconds if load_seconds > 0 else float("inf"),
         "loaded_warm_source": loaded.warm_source,
         "loaded_cache": loaded.reuse.stats() if loaded.reuse is not None else None,
-        "outputs_identical": bool(
-            np.array_equal(loaded_y, fresh_y) and np.array_equal(fresh_y, cold_y)
-        ),
+        "outputs_identical": _same(loaded_y, fresh_y, cold_y),
     }
 
 
-def _run_scale_out(
-    worker_counts,
-    tier: str,
-    requests: int,
-    request_cols: int,
-    seed: int,
-    streams: int = 8,
-    max_batch: int = 16,
-) -> dict:
+#: tier, stream population and block size of the scale-out record
+_SCALE_OUT_TIER = "sdgc-shallow"
+_SCALE_OUT_STREAMS = 8
+_SCALE_OUT_MAX_BATCH = 16
+
+
+def _run_scale_out(worker_counts, requests: int, request_cols: int, seed: int) -> dict:
     """Scale-out curve: one tier through the fleet at rising N.
 
     The same ``requests`` (round-robined over a fixed stream population)
@@ -771,15 +767,21 @@ def _run_scale_out(
     counts = sorted({int(n) for n in worker_counts})
     if not counts or counts[0] < 1:
         raise ConfigError(f"worker counts must be >= 1, got {list(worker_counts)}")
+    tier, max_batch = _SCALE_OUT_TIER, _SCALE_OUT_MAX_BATCH
     source = _TIER_SOURCES.get(tier, tier)
-    net, cfg, pool = _tier_workload(tier, requests * request_cols, seed)
-    slices = _split_requests(pool, request_cols)
-    names = _balanced_streams(streams, counts[-1])
-    items = [
-        ("m", names[j % len(names)], y0) for j, y0 in enumerate(slices)
-    ]
+    net, cfg, stream = _tier_stream(tier, requests, request_cols, seed)
+    names = _balanced_streams(_SCALE_OUT_STREAMS, counts[-1])
+    items = [("m", names[j % len(names)], y0) for j, y0 in enumerate(stream)]
     total_columns = sum(y0.shape[1] for _, _, y0 in items)
-    reference = _single_process_reference(net, cfg, items, max_batch)
+
+    # single-process reference: one in-process router, one lane per stream
+    _, ref_report = _pass(
+        {"m": {"net": net, "cfg": cfg}}, items, max_batch, transport=AsyncRouter
+    )
+    parts: dict[str, list] = {}
+    for (_, name, _), ticket in zip(items, ref_report.per_model["m"].served, strict=True):
+        parts.setdefault(name, []).append(ticket.y)
+    reference = {name: np.hstack(ys) for name, ys in parts.items()}
     spec = TenantSpec("m", source)
 
     entries = []
@@ -837,18 +839,12 @@ def _run_scale_out(
         # is paid once here at save time, and — the point of the exercise —
         # the SIGKILLed worker's replacement incarnation loads the same file
         # instead of re-baking before it replays the victim streams
-        art_dir = tempfile.mkdtemp(prefix="repro-warmstore-")
-        art_path = os.path.join(art_dir, "fleet.warmstate")
         net.drop_views()
-        save_manifest = EngineSession(net, cfg).save_warm_state(art_path)
-        net.drop_views()
-        try:
+        with _artifact(EngineSession(net, cfg), "fleet") as (path, save_manifest, _):
             report = _fleet_pass(
-                dataclasses.replace(spec, warm_state=art_path),
+                dataclasses.replace(spec, warm_state=path),
                 items, n, max_batch, kill=victim,
             )
-        finally:
-            shutil.rmtree(art_dir, ignore_errors=True)
         other_streams = [s for s in names if stream_shard(s, n) != victim]
         victim_streams = [s for s in names if stream_shard(s, n) == victim]
         victim_rep = report.worker_reports[victim] or {}
@@ -907,87 +903,31 @@ def _run_scale_out(
     }
 
 
-def _qos_latency_quantiles(tickets, qs=(0.5, 0.95, 0.99)) -> dict | None:
-    lat = [
-        t.latency_seconds
-        for t in tickets
-        if t.ready and t.latency_seconds is not None
-    ]
-    if not lat:
-        return None
-    arr = np.array(lat)
-    return {f"p{int(q * 100)}": float(np.quantile(arr, q)) for q in qs}
+#: QoS record tenants: name -> (tier, requests)
+_QOS_TENANTS = {"interactive": ("sdgc-shallow", 24), "bulk": ("sdgc-deep", 40)}
+#: columns per QoS request, which is also the QoS routers' block size
+_QOS_REQUEST_COLS = 16
+#: requests the bulk tenant's hard quota admits (3/5 of its burst)
+_QOS_BULK_ADMIT = 24
+#: latency quantiles of the QoS record
+_QOS_QUANTILES = (0.5, 0.95, 0.99)
 
 
-def _qos_tickets_identical(mine, reference) -> bool:
-    """Bitwise compare two served-ticket sequences, submit order."""
-    a = [t for t in mine if t.ready]
-    b = [t for t in reference if t.ready]
-    return len(a) == len(b) and all(
-        np.array_equal(x.y, y.y) for x, y in zip(a, b)
-    )
-
-
-def _qos_pass(tenants, submissions, max_batch, policy):
-    """One async serve of ``submissions`` under the given scheduler policy.
-
-    Returns per-tenant ticket lists (submit order), per-tenant shed counts
-    by admission reason, the router's final stats, and the wall seconds
-    from first submit to drained.
-    """
-    from repro.errors import ServeShedError
-
-    registry = ModelRegistry()
-    for name, tenant in tenants.items():
-        tenant["net"].drop_views()
-        registry.register(
-            name, tenant["net"], config=tenant["cfg"], warm=True,
-            slo=tenant.get("slo"), qos=tenant.get("qos"),
-        )
-    router = AsyncRouter(
-        registry, max_batch=max_batch, max_wait_s=60.0,
-        queue_limit=len(submissions) + 1, on_full="reject", policy=policy,
-    )
-    tickets: dict[str, list] = {name: [] for name in tenants}
-    shed: dict[str, dict[str, int]] = {name: {} for name in tenants}
-    t0 = time.perf_counter()
-    for name, y0 in submissions:
-        try:
-            tickets[name].append(router.submit(name, y0))
-        except ServeShedError as exc:
-            shed[name][exc.reason] = shed[name].get(exc.reason, 0) + 1
-    router.close(drain=True)
-    wall = time.perf_counter() - t0
-    stats = router.stats()
-    for tenant in tenants.values():
-        tenant["net"].drop_views()  # hand the memoized network back cold
-    return tickets, shed, stats, wall
-
-
-def _run_qos(
-    requests: int = 24,
-    bulk_requests: int = 40,
-    request_cols: int = 16,
-    seed: int = 1,
-    interactive_tier: str = "sdgc-shallow",
-    bulk_tier: str = "sdgc-deep",
-    bulk_admit: int | None = None,
-    slo: str | None = MULTI_SLO_SPEC,
-) -> dict:
+def _run_qos(seed: int = 1, slo: str | None = MULTI_SLO_SPEC) -> dict:
     """QoS A/B: interactive p99 under bulk saturation, two arms.
 
     Two tenants share one :class:`~repro.serve.router.AsyncRouter`: an
     ``interactive``-class tenant and a ``batch``-class bulk tenant whose
     policy carries a hard quota (``rate=0`` token bucket) sized to admit
-    ``bulk_admit`` of its ``bulk_requests`` requests.  The bulk tenant
-    submits its whole burst first, then the interactive tenant submits —
-    the worst arrival order for the interactive side, since the worker is
-    already deep in the bulk backlog.
+    :data:`_QOS_BULK_ADMIT` of its requests.  The bulk tenant submits its
+    whole burst first, then the interactive tenant submits — the worst
+    arrival order for the interactive side, since the worker is already
+    deep in the bulk backlog.
 
-    Every request is exactly one ``request_cols``-column block
-    (``max_batch == request_cols``), so scheduling order — not packing — is
-    the only variable between arms; packing invariance under QoS is proved
-    separately by the scheduler property tests.
+    Every request is exactly one block (``max_batch`` equals the request
+    width), so scheduling order — not packing — is the only variable
+    between arms; packing invariance under QoS is proved separately by the
+    scheduler property tests.
 
     Four passes: each tenant solo (its latency baseline and, for the bulk
     tenant, the admitted-prefix reference the quota must reproduce), the
@@ -998,117 +938,95 @@ def _run_qos(
     behind the whole bulk backlog — plus bitwise output identity against
     the solo runs and the shed accounting identity.
     """
-    max_batch = request_cols
+    cols = _QOS_REQUEST_COLS
     tenants: dict[str, dict] = {}
-    for name, tier, count in (
-        ("interactive", interactive_tier, requests),
-        ("bulk", bulk_tier, bulk_requests),
-    ):
-        net, cfg, pool = _tier_workload(tier, count * request_cols, seed)
-        net.drop_views()
-        tenants[name] = {
-            "net": net, "cfg": cfg, "tier": tier, "slo": slo,
-            "stream": _split_requests(pool, request_cols),
-        }
-    if bulk_admit is None:
-        bulk_admit = max(1, (bulk_requests * 3) // 5)
-    if not 0 < bulk_admit <= bulk_requests:
-        raise ConfigError(
-            f"bulk_admit must be in 1..{bulk_requests}, got {bulk_admit}"
-        )
+    streams: dict[str, list] = {}
+    for name, (tier, count) in _QOS_TENANTS.items():
+        net, cfg, streams[name] = _tier_stream(tier, count, cols, seed)
+        tenants[name] = {"net": net, "cfg": cfg, "tier": tier, "slo": slo}
     tenants["interactive"]["qos"] = "interactive"
-    # hard quota: a zero-rate bucket admits exactly the first `bulk_admit`
-    # requests, so the shed count — and the served subsequence the solo
-    # reference must match bitwise — is deterministic, not timing-dependent
-    tenants["bulk"]["qos"] = f"batch:rate=0,burst={bulk_admit * request_cols}"
+    # hard quota: a zero-rate bucket admits exactly the first
+    # _QOS_BULK_ADMIT requests, so the shed count — and the served
+    # subsequence the solo reference must match bitwise — is
+    # deterministic, not timing-dependent
+    tenants["bulk"]["qos"] = f"batch:rate=0,burst={_QOS_BULK_ADMIT * cols}"
 
-    def submissions(names):
-        return [
-            (name, y0) for name in names for y0 in tenants[name]["stream"]
-        ]
+    def serve(names, policy="qos"):
+        """Per-tenant reports, shed reasons and QoS stats of one pass."""
+        router, report = _pass(
+            {name: tenants[name] for name in names},
+            [(name, y0) for name in names for y0 in streams[name]],
+            cols, transport=AsyncRouter, policy=policy,
+        )
+        qos_stats = router.stats()["qos"]
+        shed = (qos_stats["admission"] or {}).get("shed", {})
+        return report, {name: shed.get(name, {}) for name in names}, qos_stats
 
     solo: dict[str, dict] = {}
-    solo_tickets: dict[str, list] = {}
+    solo_outputs: dict[str, np.ndarray] = {}
     for name in tenants:
-        tks, shed, _, wall = _qos_pass(
-            {name: tenants[name]}, submissions([name]), max_batch, "qos"
-        )
-        solo_tickets[name] = tks[name]
+        report, shed, _ = serve([name])
+        mine = report.per_model[name]
+        solo_outputs[name] = _outputs(mine.served)
         solo[name] = {
-            "served": sum(1 for t in tks[name] if t.ready),
+            "served": len(mine.served),
             "shed": sum(shed[name].values()),
-            "latency_seconds": _qos_latency_quantiles(tks[name]),
-            "wall_seconds": wall,
+            "latency_seconds": mine.latency_quantiles(_QOS_QUANTILES),
+            "wall_seconds": report.wall_seconds,
         }
 
     def run_arm(policy):
         # bulk first: its lane is created first (so FIFO services it
         # first) and its backlog is already queued when interactive arrives
-        tks, shed, stats, wall = _qos_pass(
-            tenants, submissions(["bulk", "interactive"]), max_batch, policy
-        )
+        report, shed, qos_stats = serve(["bulk", "interactive"], policy)
         per_tenant = {}
-        for name in tenants:
-            served = sum(1 for t in tks[name] if t.ready)
-            failed = sum(1 for t in tks[name] if t.failed)
+        for name, tenant in tenants.items():
+            mine = report.per_model[name]
+            served, failed = len(mine.served), len(mine.failed)
             shed_n = sum(shed[name].values())
-            submitted = len(tenants[name]["stream"])
-            lat = _qos_latency_quantiles(tks[name])
+            submitted = len(streams[name])
+            lat = mine.latency_quantiles(_QOS_QUANTILES)
             solo_p99 = (solo[name]["latency_seconds"] or {}).get("p99")
             per_tenant[name] = {
-                "tier": tenants[name]["tier"],
-                "qos": tenants[name]["qos"],
+                "tier": tenant["tier"],
+                "qos": tenant["qos"],
                 "submitted": submitted,
                 "served": served,
                 "shed": shed_n,
                 "shed_reasons": dict(shed[name]),
                 "failed": failed,
-                "shed_accounting_ok": bool(
-                    served + shed_n + failed == submitted
-                ),
+                "shed_accounting_ok": served + shed_n + failed == submitted,
                 "latency_seconds": lat,
-                "p99_over_solo": (
-                    lat["p99"] / solo_p99
-                    if lat and solo_p99 and solo_p99 > 0
-                    else None
-                ),
-                "outputs_identical": _qos_tickets_identical(
-                    tks[name], solo_tickets[name]
-                ),
+                "p99_over_solo": lat["p99"] / solo_p99 if lat and solo_p99 else None,
+                "outputs_identical": _same(_outputs(mine.served), solo_outputs[name]),
             }
         return {
             "policy": policy,
-            "wall_seconds": wall,
+            "wall_seconds": report.wall_seconds,
             "per_tenant": per_tenant,
             "interactive_p99_ratio": per_tenant["interactive"]["p99_over_solo"],
-            "qos": stats.get("qos"),
+            "qos": qos_stats,
         }
 
     with_qos = run_arm("qos")
     no_qos = run_arm("fifo")
     return {
-        "interactive_tier": interactive_tier,
-        "bulk_tier": bulk_tier,
-        "requests": requests,
-        "bulk_requests": bulk_requests,
-        "bulk_admit": bulk_admit,
-        "request_cols": request_cols,
-        "max_batch": max_batch,
+        "interactive_tier": tenants["interactive"]["tier"],
+        "bulk_tier": tenants["bulk"]["tier"],
+        "requests": len(streams["interactive"]),
+        "bulk_requests": len(streams["bulk"]),
+        "bulk_admit": _QOS_BULK_ADMIT,
+        "request_cols": cols,
+        "max_batch": cols,
         "slo_spec": slo,
         "solo": solo,
         "with_qos": with_qos,
         "no_qos": no_qos,
-        "outputs_identical": bool(
-            all(
-                t["outputs_identical"]
-                for t in with_qos["per_tenant"].values()
-            )
+        "outputs_identical": all(
+            t["outputs_identical"] for t in with_qos["per_tenant"].values()
         ),
-        "shed_accounting_ok": bool(
-            all(
-                t["shed_accounting_ok"]
-                for t in with_qos["per_tenant"].values()
-            )
+        "shed_accounting_ok": all(
+            t["shed_accounting_ok"] for t in with_qos["per_tenant"].values()
         ),
     }
 
@@ -1152,16 +1070,9 @@ def bench_serve(
     memory_budget_mb: float | None = None,
     slo: str | None = MULTI_SLO_SPEC,
     scale_out: tuple[int, ...] | None = None,
-    scale_out_tier: str = "sdgc-shallow",
-    scale_out_streams: int = 8,
-    scale_out_max_batch: int = 16,
     scale_out_requests: int | None = None,
     warm_boot: bool | None = None,
-    warm_boot_tier: str = "sdgc-shallow",
     qos: bool = False,
-    qos_requests: int = 24,
-    qos_bulk_requests: int = 40,
-    qos_request_cols: int = 16,
 ) -> dict:
     """Measure request throughput: cold per-request engines vs warm serving.
 
@@ -1176,9 +1087,9 @@ def bench_serve(
     stream open-loop — seeded Poisson arrivals at ``arrival_rate`` req/s, or
     auto-paced to the tier's warm service rate — through both the sync
     and the async router, recorded under ``"async"``.
-    ``trace`` writes a Chrome trace of the first tier's warm serving run
-    (note: span recording adds overhead to that tier's warm numbers; leave
-    it off when comparing throughput across PRs).
+    ``trace`` writes a Chrome trace of the first tier's warm serving run, so
+    it needs at least one tier (note: span recording adds overhead to that
+    tier's warm numbers; leave it off when comparing throughput across PRs).
 
     ``multi`` adds the mixed-traffic multi-tenant record (see
     :func:`_run_multi`) under the result's ``"multi"`` key: the
@@ -1187,12 +1098,12 @@ def bench_serve(
     bitwise isolation check against single-tenant runs, and — when
     ``memory_budget_mb`` bounds the combined footprint — LRU warm-to-cold
     demotions plus the post-enforcement high-water mark.  ``slo`` is the
-    per-tenant policy spec the multi record evaluates live (default
-    :data:`MULTI_SLO_SPEC`; ``None`` turns SLO tracking off).
+    per-tenant policy spec the multi and QoS records evaluate live
+    (default :data:`MULTI_SLO_SPEC`; ``None`` turns SLO tracking off).
 
     ``scale_out`` — a tuple of worker counts like ``(1, 2, 4)`` — adds the
     fleet curve under the result's ``"scale_out"`` key (see
-    :func:`_run_scale_out`): ``scale_out_tier``'s stream population served
+    :func:`_run_scale_out`): the sdgc-shallow stream population served
     through a multi-process :class:`~repro.serve.fleet.FleetDispatcher` at
     every count, with wall + capacity throughput, bitwise output checks
     against a single-process reference, and a crash-recovery run at the
@@ -1201,12 +1112,12 @@ def bench_serve(
     per-process costs (poll wakeups, queue plumbing) amortize, or the curve
     measures overhead instead of sharding.  An empty ``tiers`` tuple (CLI:
     ``--tiers none``) skips the per-tier records entirely for
-    scale-out-only captures.
+    record-only captures.
 
     ``warm_boot`` adds the persistent-warmup record under the
-    result's ``"warm_boot"`` key (see :func:`_run_warm_boot`):
-    ``warm_boot_tier`` booted cold (bake + priming traffic), snapshotted
-    via :mod:`repro.core.warmstore`, and re-booted from the artifact, with
+    result's ``"warm_boot"`` key (see :func:`_run_warm_boot`): sdgc-shallow
+    booted cold (bake + priming traffic), snapshotted via
+    :mod:`repro.core.warmstore`, and re-booted from the artifact, with
     time-to-warm for both modes and the bitwise identity triangle.  The
     default (``None``) runs it whenever per-tier records run.
 
@@ -1219,26 +1130,26 @@ def bench_serve(
         tiers = (benchmark,) if benchmark is not None else DEFAULT_TIERS
     elif benchmark is not None:
         raise ConfigError("pass either benchmark or tiers, not both")
+    if trace is not None and not tiers:
+        raise ConfigError("trace records the first tier's warm serve; no tier runs")
     tracer = Tracer() if trace is not None else None
-    records = []
-    for index, tier in enumerate(tiers):
-        records.append(
-            _run_tier(
-                tier=tier,
-                benchmark_source=tier,
-                requests=requests,
-                request_cols=request_cols,
-                max_batch=max_batch,
-                threshold=threshold,
-                seed=seed,
-                stream_mode=stream,
-                centroid_reuse=centroid_reuse,
-                reuse_tolerance=reuse_tolerance,
-                tracer=tracer if index == 0 else None,
-                async_ab=async_ab,
-                arrival_rate=arrival_rate,
-            )
+    records = [
+        _run_tier(
+            tier=tier,
+            requests=requests,
+            request_cols=request_cols,
+            max_batch=max_batch,
+            threshold=threshold,
+            seed=seed,
+            stream_mode=stream,
+            centroid_reuse=centroid_reuse,
+            reuse_tolerance=reuse_tolerance,
+            tracer=tracer if index == 0 else None,
+            async_ab=async_ab,
+            arrival_rate=arrival_rate,
         )
+        for index, tier in enumerate(tiers)
+    ]
     result = {
         "schema": BENCH_SCHEMA,
         "stream": stream,
@@ -1249,13 +1160,7 @@ def bench_serve(
     if warm_boot is None:
         warm_boot = bool(tiers)
     if warm_boot:
-        result["warm_boot"] = _run_warm_boot(
-            tier=warm_boot_tier,
-            requests=requests,
-            request_cols=request_cols,
-            max_batch=max_batch,
-            seed=seed,
-        )
+        result["warm_boot"] = _run_warm_boot(requests, request_cols, max_batch, seed)
     if multi:
         result["multi"] = _run_multi(
             tiers=multi_tiers if multi_tiers is not None else MULTI_TIERS,
@@ -1267,17 +1172,10 @@ def bench_serve(
             slo=slo,
         )
     if qos:
-        result["qos"] = _run_qos(
-            requests=qos_requests,
-            bulk_requests=qos_bulk_requests,
-            request_cols=qos_request_cols,
-            seed=seed,
-            slo=slo,
-        )
+        result["qos"] = _run_qos(seed=seed, slo=slo)
     if scale_out:
         result["scale_out"] = _run_scale_out(
             scale_out,
-            tier=scale_out_tier,
             requests=(
                 scale_out_requests
                 if scale_out_requests is not None
@@ -1285,10 +1183,8 @@ def bench_serve(
             ),
             request_cols=request_cols,
             seed=seed,
-            streams=scale_out_streams,
-            max_batch=scale_out_max_batch,
         )
-    if trace is not None and tracer is not None:
+    if tracer is not None:
         tracer.write_chrome(trace)
         result["trace"] = str(trace)
     if out is not None:

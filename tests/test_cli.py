@@ -101,6 +101,25 @@ def test_bench_serve_rejects_benchmark_plus_tiers(tmp_path):
               "--out", str(tmp_path / "b.json")])
 
 
+def test_bench_serve_has_no_revise_ratio_flag():
+    """bench-serve never read --revise-ratio; it is not accepted there."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench-serve", "--revise-ratio", "2"])
+    for cmd in (["serve", "144-24"], ["warmup", "144-24"]):
+        assert build_parser().parse_args([*cmd, "--revise-ratio", "2"]).revise_ratio == 2
+
+
+def test_bench_serve_rejects_trace_without_tiers(tmp_path):
+    """The trace covers the first tier's warm serve: no tier, no trace."""
+    from repro.errors import ConfigError
+
+    trace = tmp_path / "t.json"
+    with pytest.raises(ConfigError):
+        main(["bench-serve", "--tiers", "none", "--qos", "--trace", str(trace),
+              "--out", str(tmp_path / "b.json")])
+    assert not trace.exists() and not (tmp_path / "b.json").exists()
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["experiment", "table99"])

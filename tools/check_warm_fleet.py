@@ -35,38 +35,18 @@ def main(argv: list[str] | None = None) -> int:
 
     import numpy as np
 
-    from repro.harness.workloads import get_input
-    from repro.serve.bench import _split_requests
-    from repro.serve.fleet import FleetDispatcher, TenantSpec
+    from repro.serve.bench import _fleet_pass, _tier_stream
+    from repro.serve.fleet import TenantSpec
 
     spec = TenantSpec(
         "m", args.benchmark, centroid_reuse=True, reuse_tolerance=0.0,
         warm_state=args.artifact,
     )
-    pool = np.asarray(
-        get_input(args.benchmark, args.requests * args.request_cols, 1)
-    )
-    items = [
-        (f"s{j % args.streams}", y0)
-        for j, y0 in enumerate(_split_requests(pool, args.request_cols))
-    ]
+    _, _, stream = _tier_stream(args.benchmark, args.requests, args.request_cols, 1)
+    items = [("m", f"s{j % args.streams}", y0) for j, y0 in enumerate(stream)]
 
-    def run(kill=None):
-        fleet = FleetDispatcher(
-            [spec], workers=args.workers, max_batch=16, max_wait_s=60.0,
-            queue_limit=len(items) + 1,
-        )
-        try:
-            for stream, y0 in items:
-                fleet.submit("m", y0, stream=stream)
-            if kill is not None:
-                fleet.kill_worker(kill)
-            return fleet.join()
-        finally:
-            fleet.close()
-
-    ref = run()
-    crash = run(kill=0)
+    ref = _fleet_pass(spec, items, args.workers, max_batch=16)
+    crash = _fleet_pass(spec, items, args.workers, max_batch=16, kill=0)
     for rep in (*ref.worker_reports, *crash.worker_reports):
         rep = rep or {}
         print(f"worker {rep.get('worker')} incarnation "
@@ -79,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
             f"worker {rep.get('worker')} did not boot from the artifact"
     assert crash.restart_total >= 1, "victim was not restarted"
     assert not crash.failed, f"{len(crash.failed)} requests failed"
-    streams = sorted({s for s, _ in items})
+    streams = sorted({s for _, s, _ in items})
     for s in streams:
         assert np.array_equal(crash.stream_output(s), ref.stream_output(s)), \
             f"stream {s}: crash-replayed outputs diverged"
