@@ -3,7 +3,10 @@
 Orchestrates the four stages — pre-convergence feed-forward, cluster-based
 conversion, post-convergence update, final recovery — with per-stage and
 per-layer wall-clock timing plus cost-model accounting on the virtual
-device, so every experiment of §4 can be regenerated.
+device, so every experiment of §4 can be regenerated.  A fresh conversion
+and a centroid-cache hit (assign-only conversion) run through the same
+post-convergence loop and recovery stage; :class:`_StageLedger` records
+every stage and builds the result.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro.core.recovery import recover_compact
 from repro.core.reuse import CentroidCache, degenerate_fill_baselines
 from repro.core.sampling import sample_columns, sum_downsample
 from repro.core.postconv import update_compact, update_residues_external
-from repro.gpu.costmodel import KernelCharge
+from repro.gpu.costmodel import CostSnapshot, KernelCharge
 from repro.gpu.device import VirtualDevice
 from repro.gpu.memory import BufferPool
 from repro.inference import InferenceResult
@@ -34,6 +37,56 @@ from repro.network import SparseNetwork
 from repro.obs import as_tracer
 
 __all__ = ["SNICIT"]
+
+
+class _StageLedger:
+    """Where one inference records its stages, and how it builds its result.
+
+    ``with ledger.stage(name, **args) as span:`` opens the stage's tracer
+    span and records the stage's wall seconds and the cost-model delta of its
+    own window; :meth:`skip` records a stage that never ran (0.0 seconds, an
+    empty window).  Stages never nest, so the ledger is its own context
+    manager: a generator-based one cost ~50 µs more per 64-column medium-A
+    block on a 2-vCPU VM.  Layer loops write ``layer_seconds`` themselves
+    with an inline ``perf_counter`` pair, the cheapest per-layer timer.
+    """
+
+    def __init__(self, tracer, device: VirtualDevice, num_layers: int):
+        self.tracer = tracer
+        self.device = device
+        self.stage_seconds: dict[str, float] = {}
+        self.modeled: dict[str, CostSnapshot] = {}
+        self.layer_seconds = np.zeros(num_layers)
+
+    def stage(self, name: str, **args) -> "_StageLedger":
+        self._name = name
+        self._span = self.tracer.span(name, cat="stage", **args)
+        return self
+
+    def __enter__(self):
+        # the snapshots stay outside the wall-clock window
+        self._mark = self.device.snapshot()
+        self._wall0 = time.perf_counter()
+        return self._span.__enter__()
+
+    def __exit__(self, *exc) -> None:
+        self._span.__exit__(*exc)
+        self.stage_seconds[self._name] = time.perf_counter() - self._wall0
+        self.modeled[self._name] = self.device.snapshot() - self._mark
+
+    def skip(self, name: str) -> None:
+        with self.tracer.span(name, cat="stage", skipped=True):
+            self.stage_seconds[name] = 0.0
+            self.modeled[name] = CostSnapshot()
+
+    def result(self, y: np.ndarray, stats: dict) -> InferenceResult:
+        return InferenceResult(
+            y=y,
+            stage_seconds=self.stage_seconds,
+            layer_seconds=self.layer_seconds,
+            modeled=self.modeled,
+            stats=stats,
+        )
 
 
 class SNICIT:
@@ -126,62 +179,60 @@ class SNICIT:
                     "SNICIT's residue representation requires square layers "
                     "after the threshold"
                 )
-        # ELL views for the fixed-fan-in fast path are built lazily and cached
-        # on the network itself, shared across engines.
 
     # ------------------------------------------------------------------ run
     def infer(self, y0: np.ndarray) -> InferenceResult:
         """Run the full pipeline on input block ``Y(0)`` of shape (N, B)."""
+        y0 = self.network.validate_input(y0).astype(np.float32, copy=True)
+        with self.tracer.span(
+            "snicit.infer", cat="request", engine=self.name,
+            benchmark=self.network.name, batch=y0.shape[1],
+        ) as req_span:
+            return self._infer_traced(y0, req_span)
+
+    def _infer_traced(self, y0: np.ndarray, req_span) -> InferenceResult:
+        """The four stages, each recorded by one :class:`_StageLedger`.
+
+        Stage 2 ends in the same compacted form for both kinds of block:
+        ``yhat`` (the block's centroids and residues), the mapper ``m`` and
+        the non-empty columns ``ne_idx``.  A fresh conversion pins its
+        centroids as columns of the block (``m == -1``); a centroid-cache hit
+        has none — ``m`` is the cache assignment, every column is a residue
+        against a cached centroid, and the active set may shrink to empty.
+        One post-convergence loop and one recovery serve both, branching only
+        at the update kernel and the recovery body.
+        """
         net = self.network
         cfg = self.config
         tracer = self.tracer
-        y0 = net.validate_input(y0).astype(np.float32, copy=True)
+        dev = self.device
         t = cfg.threshold_layer
         batch = y0.shape[1]
-        with tracer.span(
-            "snicit.infer", cat="request", engine=self.name,
-            benchmark=net.name, batch=batch,
-        ) as req_span:
-            result = self._infer_traced(y0, t, batch, req_span)
-        return result
-
-    def _infer_traced(self, y0, t: int, batch: int, req_span) -> InferenceResult:
-        net = self.network
-        cfg = self.config
-        tracer = self.tracer
-        layer_seconds = np.zeros(net.num_layers)
-        stage_seconds: dict[str, float] = {}
-        modeled: dict[str, object] = {}
-        dev = self.device
-        mark = dev.snapshot()
+        ledger = _StageLedger(tracer, dev, net.num_layers)
 
         # ---- stage 1: pre-convergence sparse matrix multiplication -------
-        wall0 = time.perf_counter()
         y = y0
         detector = None
-        if cfg.auto_threshold:
-            from repro.core.convergence import ConvergenceDetector
+        with ledger.stage("pre_convergence") as stage_span:
+            if cfg.auto_threshold:
+                from repro.core.convergence import ConvergenceDetector
 
-            detector = ConvergenceDetector(
-                tolerance=cfg.auto_tolerance,
-                patience=cfg.auto_patience,
-                probe_columns=cfg.sample_size,
-                probe_dim=cfg.downsample_dim or cfg.sample_size,
-            )
-            detector.observe(y)
-        with tracer.span("pre_convergence", cat="stage") as stage_span:
+                detector = ConvergenceDetector(
+                    tolerance=cfg.auto_tolerance,
+                    patience=cfg.auto_patience,
+                    probe_columns=cfg.sample_size,
+                    probe_dim=cfg.downsample_dim or cfg.sample_size,
+                )
+                detector.observe(y)
             for i in range(t):
                 lt0 = time.perf_counter()
                 with tracer.span(f"layer {i}", cat="layer", layer=i):
                     y = self._feedforward_layer(i, y)
-                layer_seconds[i] = time.perf_counter() - lt0
+                ledger.layer_seconds[i] = time.perf_counter() - lt0
                 if detector is not None and detector.observe(y):
                     t = i + 1  # converged early: convert here (paper §5 extension)
                     break
             stage_span.set(layers=t, threshold_layer=t)
-        stage_seconds["pre_convergence"] = time.perf_counter() - wall0
-        modeled["pre_convergence"] = dev.snapshot() - mark
-        mark = dev.snapshot()
 
         # Degenerate threshold: conversion never fires before the last layer
         # (explicit t == num_layers, or the auto detector staying quiet), so
@@ -191,47 +242,28 @@ class SNICIT:
         # timings of what is really a pure feed-forward run.
         if t >= net.num_layers:
             for name in ("conversion", "post_convergence", "recovery"):
-                # zero wall clock, zero modeled delta — but still advance the
-                # mark per stage so the ledger and the span tree agree on
-                # stage boundaries (each entry is its own empty window, not a
-                # cumulative diff against the pre-convergence mark)
-                with tracer.span(name, cat="stage", skipped=True):
-                    stage_seconds[name] = 0.0
-                    modeled[name] = dev.snapshot() - mark
-                    mark = dev.snapshot()
+                ledger.skip(name)
             # pooled buffers are recycled by the next call; detach the result
             if self.scratch is not None and self.scratch.owns(y):
                 y = y.copy()
-            stats = {
-                "threshold_layer": t,
-                "auto_detected": False,
-                "convergence_trace": list(detector.trace) if detector is not None else [],
-                "n_centroids": 0,
-                "centroid_cols": np.empty(0, np.int64),
-                "active_columns_trace": np.array([]),
-                "empty_columns_trace": np.array([]),
-            }
             req_span.set(threshold_layer=t, n_centroids=0, degenerate_threshold=True)
-            return InferenceResult(
-                y=y,
-                stage_seconds=stage_seconds,
-                layer_seconds=layer_seconds,
-                modeled=modeled,
-                stats=stats,
-            )
+            return ledger.result(y, self._stats(t, detector, 0, np.empty(0, np.int64), [], []))
 
         # ---- stage 2: cluster-based conversion ---------------------------
         # With a centroid cache, try the cross-block assign-only path first:
         # match the block against a previous conversion's centroids and keep
         # only the residues, skipping sampling/pruning/centroid feed-forward.
-        wall0 = time.perf_counter()
-        reused = None
+        reused = cached = None
         reuse_info: dict | None = None
         capture = False
-        with tracer.span("conversion", cat="stage") as stage_span:
+        with ledger.stage("conversion") as stage_span:
             if self.reuse is not None:
                 reused, reuse_info = self._try_reuse(y, t, stage_span)
-            if reused is None:
+            if reused is not None:
+                cached, m, yhat, ne_rec = reused
+                n_centroids = cached.n_centroids
+                cent_cols = np.empty(0, np.int64)  # centroids live in the cache
+            else:
                 f0 = sample_columns(y, cfg.sample_size)
                 if cfg.downsample_dim is not None:
                     f = sum_downsample(f0, cfg.downsample_dim)
@@ -241,9 +273,9 @@ class SNICIT:
                 cent_cols = select_centroids(col_idx)
                 if len(cent_cols) == 0:  # degenerate but possible with eta=inf-like configs
                     cent_cols = np.array([0], dtype=np.int64)
+                n_centroids = int(len(cent_cols))
                 with tracer.span("conversion_kernel", cat="kernel") as kernel_span:
                     yhat, m, ne_rec = convert(y, cent_cols, cfg.prune_threshold)
-                    ne_idx = self._refresh_ne_idx(ne_rec, m)
                     charge = KernelCharge(
                         name="conversion",
                         flops=float(f.size * f.shape[1] + y.size * len(cent_cols)),
@@ -251,10 +283,7 @@ class SNICIT:
                         bytes_written=float(yhat.nbytes),
                     )
                     kernel_span.charge(charge, dev.charge(charge))
-                capture = (
-                    self.reuse is not None
-                    and len(cent_cols) <= self.reuse.max_centroids
-                )
+                capture = self.reuse is not None and self.reuse.accepts(n_centroids)
                 if capture:
                     # fill-time staleness baseline: how far the block's own
                     # columns sit from their chosen centroids (pre-prune L0)
@@ -276,86 +305,97 @@ class SNICIT:
                                 y[:, cent_cols], cfg.prune_threshold
                             )
                         )
+            # centroids are always kept in ne_idx; a hit has none to keep
+            ne_idx = np.flatnonzero(ne_rec | (m == -1)).astype(np.int64)
+            if cached is None:
                 stage_span.set(
-                    n_centroids=int(len(cent_cols)),
+                    n_centroids=n_centroids,
                     sampled_columns=int(f0.shape[1]),
                     active_columns=int(len(ne_idx)),
                 )
-        stage_seconds["conversion"] = time.perf_counter() - wall0
-        modeled["conversion"] = dev.snapshot() - mark
-        mark = dev.snapshot()
-
-        if reused is not None:
-            assign, residues, cached = reused
-            return self._finish_reused(
-                assign, residues, cached, t, batch, detector,
-                layer_seconds, stage_seconds, modeled, mark, req_span, reuse_info,
-            )
 
         # ---- stage 3: post-convergence update -----------------------------
         # The representation is kept *compacted*: only the ne_idx columns of
         # Ŷ are materialized, exactly as the paper launches size(ne_idx)
         # blocks.  Emptiness of residue columns is monotone, so columns are
         # only ever dropped (at ne_idx refreshes), never re-added; centroids
-        # are pinned.
-        wall0 = time.perf_counter()
+        # are pinned.  ``owner`` is ``m`` over the compacted columns: -1 for a
+        # pinned centroid, else the residue's centroid — a block column
+        # (located in the compacted block by ``cent_pos``) for a fresh
+        # conversion, a cache column for a hit, whose centroid side of Eq. 5
+        # comes from the cached trajectory.
+        if cached is None:
+            hit_args, update_name, update_reads = {}, "update_centroids_residues", 2
+        else:
+            hit_args, update_name, update_reads = {"reuse": "hit"}, "update_residues_external", 3
         empties: list[int] = []
         active_trace: list[int] = []
         trajectory: list[np.ndarray] = []
-        with tracer.span("post_convergence", cat="stage") as stage_span:
+        with ledger.stage("post_convergence", **hit_args) as stage_span:
             sub = yhat[:, ne_idx]
-            is_cent = m[ne_idx] == -1
-            cent_pos = np.searchsorted(ne_idx, m[ne_idx[~is_cent]])
-            ne_rec_sub = np.ones(len(ne_idx), dtype=bool)
+            owner = m[ne_idx]
+            is_cent = owner == -1
+            if cached is None:
+                cent_pos = np.searchsorted(ne_idx, owner[~is_cent])
             for i in range(t, net.num_layers):
                 lt0 = time.perf_counter()
                 layer = net.layers[i]
+                bias = layer.bias if isinstance(layer.bias, np.ndarray) else float(layer.bias)
+                active = len(ne_idx)
                 with tracer.span(
-                    f"layer {i}", cat="layer", layer=i, active_columns=int(len(ne_idx))
+                    f"layer {i}", cat="layer", layer=i, active_columns=active
                 ) as layer_span:
-                    with tracer.span("load_reduced_spmm", cat="kernel", layer=i) as ks:
-                        z_sub, work, strategy = self._spmm(i, sub)
-                        charge = charge_for(
-                            strategy, work, layer.n_out, len(ne_idx), "load_reduced_spmm"
-                        )
-                        ks.set(strategy=strategy, work=int(work))
-                        ks.charge(charge, dev.charge(charge))
-                    if capture:
-                        # centroid evolution for cross-block reuse: the spMM
-                        # output of the centroid columns, in sorted-centroid
-                        # order (the mask indexing copies)
-                        trajectory.append(z_sub[:, is_cent])
-                    bias = layer.bias if isinstance(layer.bias, np.ndarray) else float(layer.bias)
-                    with tracer.span("update_centroids_residues", cat="kernel", layer=i) as ku:
-                        sub, ne_rec_sub = update_compact(
-                            z_sub, bias, is_cent, cent_pos, net.ymax, cfg.prune_threshold
-                        )
-                        charge = KernelCharge(
-                            name="update_centroids_residues",
-                            flops=float(4 * layer.n_out * len(ne_idx)),
-                            bytes_read=float(2 * layer.n_out * len(ne_idx) * 4),
-                            bytes_written=float(layer.n_out * len(ne_idx) * 4),
-                        )
-                        ku.charge(charge, dev.charge(charge))
-                    active_trace.append(len(ne_idx))
-                    empties.append(batch - int(ne_rec_sub.sum()))
-                    if (i - t) % cfg.ne_idx_interval == cfg.ne_idx_interval - 1:
-                        keep = ne_rec_sub | is_cent
-                        if not keep.all():
-                            ne_idx = ne_idx[keep]
-                            sub = sub[:, keep]
-                            is_cent = is_cent[keep]
-                            cent_pos = np.searchsorted(ne_idx, m[ne_idx[~is_cent]])
-                    layer_span.set(empty_columns=empties[-1])
-                layer_seconds[i] = time.perf_counter() - lt0
+                    empty_now = batch  # only a hit's active set can run empty
+                    if active:
+                        with tracer.span("load_reduced_spmm", cat="kernel", layer=i) as ks:
+                            z_sub, work, strategy = self._spmm(i, sub)
+                            charge = charge_for(
+                                strategy, work, layer.n_out, active, "load_reduced_spmm"
+                            )
+                            ks.set(strategy=strategy, work=int(work))
+                            ks.charge(charge, dev.charge(charge))
+                        if capture:
+                            # centroid evolution for cross-block reuse: the
+                            # spMM output of the centroid columns, in
+                            # sorted-centroid order (the mask indexing copies)
+                            trajectory.append(z_sub[:, is_cent])
+                        with tracer.span(update_name, cat="kernel", layer=i) as ku:
+                            if cached is None:
+                                sub, ne_rec_sub = update_compact(
+                                    z_sub, bias, is_cent, cent_pos, net.ymax,
+                                    cfg.prune_threshold,
+                                )
+                            else:
+                                sub, ne_rec_sub = update_residues_external(
+                                    z_sub, cached.z_cent[i - t][:, owner], bias,
+                                    net.ymax, cfg.prune_threshold,
+                                )
+                            charge = KernelCharge(
+                                name=update_name,
+                                flops=float(4 * layer.n_out * active),
+                                bytes_read=float(update_reads * layer.n_out * active * 4),
+                                bytes_written=float(layer.n_out * active * 4),
+                            )
+                            ku.charge(charge, dev.charge(charge))
+                        empty_now = batch - int(ne_rec_sub.sum())
+                        if (i - t) % cfg.ne_idx_interval == cfg.ne_idx_interval - 1:
+                            keep = ne_rec_sub | is_cent
+                            if not keep.all():
+                                ne_idx = ne_idx[keep]
+                                sub = sub[:, keep]
+                                owner = owner[keep]
+                                is_cent = is_cent[keep]
+                                if cached is None:
+                                    cent_pos = np.searchsorted(ne_idx, owner[~is_cent])
+                    active_trace.append(active)
+                    empties.append(empty_now)
+                    layer_span.set(empty_columns=empty_now)
+                ledger.layer_seconds[i] = time.perf_counter() - lt0
             stage_span.set(
-                active_columns_start=active_trace[0] if active_trace else 0,
+                active_columns_start=active_trace[0],
                 active_columns_end=int(len(ne_idx)),
-                residues_pruned=empties[-1] if empties else 0,
+                residues_pruned=empties[-1],
             )
-        stage_seconds["post_convergence"] = time.perf_counter() - wall0
-        modeled["post_convergence"] = dev.snapshot() - mark
-        mark = dev.snapshot()
 
         if capture:
             # the next same-mix block can now convert assign-only
@@ -370,52 +410,55 @@ class SNICIT:
             )
 
         # ---- stage 4: final results recovery ------------------------------
-        wall0 = time.perf_counter()
-        with tracer.span("recovery", cat="stage") as stage_span:
+        with ledger.stage("recovery", **hit_args):
             with tracer.span("recovery_kernel", cat="kernel") as kernel_span:
-                # scatter + centroid add-back in one pass: the full-width
-                # Ŷ(L) never materializes separately from the result
-                y_final = recover_compact(sub, ne_idx, m, net.output_dim)
+                if cached is None:
+                    # scatter + centroid add-back in one pass: the full-width
+                    # Ŷ(L) never materializes separately from the result
+                    y_final = recover_compact(sub, ne_idx, m, net.output_dim)
+                    reads = y_final.nbytes
+                else:
+                    y_final = cached.cent_final[:, m]  # gather copies
+                    y_final[:, ne_idx] += sub
+                    reads = 2 * y_final.nbytes
                 charge = KernelCharge(
                     name="recovery",
                     flops=float(y_final.size),
-                    bytes_read=float(y_final.nbytes),
+                    bytes_read=float(reads),
                     bytes_written=float(y_final.nbytes),
                 )
                 kernel_span.charge(charge, dev.charge(charge))
-        stage_seconds["recovery"] = time.perf_counter() - wall0
-        modeled["recovery"] = dev.snapshot() - mark
 
-        stats = {
-            "threshold_layer": t,
-            "auto_detected": detector is not None and t < cfg.threshold_layer,
-            "convergence_trace": list(detector.trace) if detector is not None else [],
-            "n_centroids": int(len(cent_cols)),
-            "centroid_cols": cent_cols,
-            "active_columns_trace": np.array(active_trace),
-            "empty_columns_trace": np.array(empties),
-        }
+        stats = self._stats(t, detector, n_centroids, cent_cols, active_trace, empties)
         if reuse_info is not None:
             stats["centroid_reuse"] = reuse_info
         req_span.set(
             threshold_layer=t,
-            n_centroids=int(len(cent_cols)),
+            n_centroids=n_centroids,
             active_columns_end=int(len(ne_idx)),
-            residues_pruned=empties[-1] if empties else 0,
+            residues_pruned=empties[-1],
         )
-        return InferenceResult(
-            y=y_final,
-            stage_seconds=stage_seconds,
-            layer_seconds=layer_seconds,
-            modeled=modeled,
-            stats=stats,
-        )
+        if cached is not None:
+            req_span.set(centroid_reuse="hit")
+        return ledger.result(y_final, stats)
+
+    def _stats(self, t, detector, n_centroids, centroid_cols, active_trace, empties) -> dict:
+        """``InferenceResult.stats`` of one run (``centroid_reuse`` aside)."""
+        return {
+            "threshold_layer": t,
+            "auto_detected": detector is not None and t < self.config.threshold_layer,
+            "convergence_trace": list(detector.trace) if detector is not None else [],
+            "n_centroids": n_centroids,
+            "centroid_cols": centroid_cols,
+            "active_columns_trace": np.array(active_trace),
+            "empty_columns_trace": np.array(empties),
+        }
 
     # ------------------------------------------------- cross-block reuse
     def _try_reuse(self, y: np.ndarray, t: int, stage_span):
         """Attempt assign-only conversion against the centroid cache.
 
-        Returns ``((assign, residues, entry), info)`` on a hit or
+        Returns ``((entry, assign, residues, ne_rec), info)`` on a hit or
         ``(None, info)`` when the cache is cold or the staleness policy
         rejects the block; ``info`` is the JSON-safe record that lands in
         ``result.stats['centroid_reuse']`` either way.
@@ -444,8 +487,9 @@ class SNICIT:
                 bytes_written=float(residues.nbytes),
             )
             kr.charge(charge, dev.charge(charge))
+        nonzero = residues != 0
         mean_distance = float(dist.mean()) / y.shape[0] if dist.size else 0.0
-        density = float((residues != 0).mean()) if residues.size else 0.0
+        density = float(nonzero.mean()) if residues.size else 0.0
         info = {
             "enabled": True,
             "n_centroids": cached.n_centroids,
@@ -458,133 +502,7 @@ class SNICIT:
             return None, info
         info["hit"] = True
         stage_span.set(reuse="hit", n_centroids=cached.n_centroids)
-        return (assign, residues, cached), info
-
-    def _finish_reused(
-        self, assign, residues, cached, t: int, batch: int, detector,
-        layer_seconds, stage_seconds, modeled, mark, req_span, reuse_info,
-    ) -> InferenceResult:
-        """Stages 3-4 of the assign-only path.
-
-        Every block column is a residue against an external cached centroid:
-        the post-convergence loop feeds only residues through the
-        load-reduced spMM and takes the centroid side of Eq. 5 from the
-        cached trajectory; recovery gathers the cached final centroids and
-        adds the surviving residues back.  With no in-block centroids there
-        is nothing to pin, so the active set can shrink all the way to
-        empty — the remaining layers then cost nothing.
-        """
-        net = self.network
-        cfg = self.config
-        tracer = self.tracer
-        dev = self.device
-
-        # ---- stage 3: post-convergence update (residues only) ------------
-        wall0 = time.perf_counter()
-        empties: list[int] = []
-        active_trace: list[int] = []
-        ne_idx = np.flatnonzero((residues != 0).any(axis=0)).astype(np.int64)
-        with tracer.span("post_convergence", cat="stage", reuse="hit") as stage_span:
-            sub = residues[:, ne_idx]
-            asg = assign[ne_idx]
-            for i in range(t, net.num_layers):
-                lt0 = time.perf_counter()
-                layer = net.layers[i]
-                with tracer.span(
-                    f"layer {i}", cat="layer", layer=i, active_columns=int(len(ne_idx))
-                ) as layer_span:
-                    if len(ne_idx):
-                        with tracer.span("load_reduced_spmm", cat="kernel", layer=i) as ks:
-                            z_sub, work, strategy = self._spmm(i, sub)
-                            charge = charge_for(
-                                strategy, work, layer.n_out, len(ne_idx),
-                                "load_reduced_spmm",
-                            )
-                            ks.set(strategy=strategy, work=int(work))
-                            ks.charge(charge, dev.charge(charge))
-                        bias = (
-                            layer.bias if isinstance(layer.bias, np.ndarray)
-                            else float(layer.bias)
-                        )
-                        with tracer.span(
-                            "update_residues_external", cat="kernel", layer=i
-                        ) as ku:
-                            z_cent = cached.z_cent[i - t][:, asg]
-                            sub, ne_rec_sub = update_residues_external(
-                                z_sub, z_cent, bias, net.ymax, cfg.prune_threshold
-                            )
-                            charge = KernelCharge(
-                                name="update_residues_external",
-                                flops=float(4 * layer.n_out * len(ne_idx)),
-                                bytes_read=float(3 * layer.n_out * len(ne_idx) * 4),
-                                bytes_written=float(layer.n_out * len(ne_idx) * 4),
-                            )
-                            ku.charge(charge, dev.charge(charge))
-                        empty_now = batch - int(ne_rec_sub.sum())
-                        active_trace.append(len(ne_idx))
-                        empties.append(empty_now)
-                        if (i - t) % cfg.ne_idx_interval == cfg.ne_idx_interval - 1:
-                            if not ne_rec_sub.all():
-                                ne_idx = ne_idx[ne_rec_sub]
-                                sub = sub[:, ne_rec_sub]
-                                asg = asg[ne_rec_sub]
-                    else:
-                        empty_now = batch  # everything resolved to a centroid
-                        active_trace.append(0)
-                        empties.append(empty_now)
-                    layer_span.set(empty_columns=empty_now)
-                layer_seconds[i] = time.perf_counter() - lt0
-            stage_span.set(
-                active_columns_start=active_trace[0] if active_trace else 0,
-                active_columns_end=int(len(ne_idx)),
-                residues_pruned=empties[-1] if empties else 0,
-            )
-        stage_seconds["post_convergence"] = time.perf_counter() - wall0
-        modeled["post_convergence"] = dev.snapshot() - mark
-        mark = dev.snapshot()
-
-        # ---- stage 4: recovery from the cached final centroids -----------
-        wall0 = time.perf_counter()
-        with tracer.span("recovery", cat="stage", reuse="hit"):
-            with tracer.span("recovery_kernel", cat="kernel") as kernel_span:
-                y_final = cached.cent_final[:, assign]  # gather copies
-                if len(ne_idx):
-                    y_final[:, ne_idx] += sub
-                charge = KernelCharge(
-                    name="recovery",
-                    flops=float(y_final.size),
-                    bytes_read=float(y_final.nbytes) * 2,
-                    bytes_written=float(y_final.nbytes),
-                )
-                kernel_span.charge(charge, dev.charge(charge))
-        stage_seconds["recovery"] = time.perf_counter() - wall0
-        modeled["recovery"] = dev.snapshot() - mark
-
-        stats = {
-            "threshold_layer": t,
-            "auto_detected": detector is not None and t < cfg.threshold_layer,
-            "convergence_trace": list(detector.trace) if detector is not None else [],
-            "n_centroids": cached.n_centroids,
-            # centroids live in the cache, not the block
-            "centroid_cols": np.empty(0, np.int64),
-            "active_columns_trace": np.array(active_trace),
-            "empty_columns_trace": np.array(empties),
-            "centroid_reuse": reuse_info,
-        }
-        req_span.set(
-            threshold_layer=t,
-            n_centroids=cached.n_centroids,
-            active_columns_end=int(len(ne_idx)),
-            residues_pruned=empties[-1] if empties else 0,
-            centroid_reuse="hit",
-        )
-        return InferenceResult(
-            y=y_final,
-            stage_seconds=stage_seconds,
-            layer_seconds=layer_seconds,
-            modeled=modeled,
-            stats=stats,
-        )
+        return (cached, assign, residues, nonzero.any(axis=0)), info
 
     # ------------------------------------------------------------- helpers
     def _spmm(self, i: int, y: np.ndarray, out: np.ndarray | None = None):
@@ -616,8 +534,3 @@ class SNICIT:
             ks.set(strategy=strategy, work=int(work))
             ks.charge(charge, self.device.charge(charge))
         return net.activation(z)
-
-    def _refresh_ne_idx(self, ne_rec: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Rebuild ``ne_idx`` from ``ne_rec``; centroids are always kept."""
-        keep = ne_rec | (m == -1)
-        return np.flatnonzero(keep).astype(np.int64)

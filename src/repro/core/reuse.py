@@ -171,7 +171,6 @@ class CentroidCache:
         self._c_hits = None
         self._c_misses = None
         self._c_fills = None
-        self._c_invalidations = None
         self._registry = None
 
     # ----------------------------------------------------------- metrics
@@ -268,6 +267,14 @@ class CentroidCache:
         return True
 
     # ----------------------------------------------------------- mutation
+    def accepts(self, n_centroids: int) -> bool:
+        """Whether a conversion with ``n_centroids`` centroids is cacheable;
+        a refusal counts as a skipped fill."""
+        if n_centroids > self.max_centroids:
+            self.skipped_fills += 1
+            return False
+        return True
+
     def fill(
         self,
         threshold_layer: int,
@@ -282,8 +289,7 @@ class CentroidCache:
 
         ``network`` scopes the entry exactly as in :meth:`lookup`.
         """
-        if cent_y.shape[1] > self.max_centroids:
-            self.skipped_fills += 1
+        if not self.accepts(cent_y.shape[1]):
             return False
         scope = self._scope(network)
         self._entries[(scope, threshold_layer)] = CachedConversion(

@@ -171,3 +171,39 @@ def test_nonsquare_post_convergence_layer_rejected(rng):
     # auto mode could fire anywhere, so it must also be rejected
     with pytest.raises(ConfigError, match="square"):
         SNICIT(net, SNICITConfig(threshold_layer=3, auto_threshold=True))
+
+
+def test_stage_functions_are_called_through_pipeline_globals(bench, monkeypatch):
+    """The traced benchmark wraps these module globals of repro.core.pipeline;
+    the engine must keep calling them there, with ``is_cent`` third."""
+    import repro.core.pipeline as pipeline
+    from repro.core import CentroidCache
+
+    calls = {}
+
+    def counting(name):
+        fn = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("update_compact", "update_residues_external", "recover_compact")
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    net, y0, _ = bench
+    engine = SNICIT(net, SNICITConfig(threshold_layer=8), reuse=CentroidCache(tolerance=1e9))
+    fresh = engine.infer(y0[:, :64])
+    assert fresh.stats["centroid_reuse"]["hit"] is False
+    assert calls["update_compact"] and calls["recover_compact"]
+    for z_sub, _, is_cent, *_ in calls["update_compact"]:
+        assert is_cent.dtype == bool and is_cent.shape == (z_sub.shape[1],)
+    assert "update_residues_external" not in calls
+    before = {name: len(calls[name]) for name in ("update_compact", "recover_compact")}
+    hit = engine.infer(y0[:, 64:128])
+    assert hit.stats["centroid_reuse"]["hit"] is True
+    assert calls["update_residues_external"]
+    # a hit runs neither the in-block update nor the compacted recovery
+    assert {name: len(calls[name]) for name in before} == before

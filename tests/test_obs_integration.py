@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness.experiments.common import sdgc_config
+from repro.core import CentroidCache
 from repro.core.pipeline import SNICIT
 from repro.obs import NULL_TRACER, Tracer
 from repro.radixnet import benchmark_input, build_benchmark
@@ -80,6 +81,39 @@ def test_trace_tree_nests_request_stage_layer_kernel(bench):
         ]
     assert conv.args["n_centroids"] >= 1
     assert rec.children[0].args["kernel"] == "recovery"
+
+
+def test_trace_tree_of_a_centroid_cache_hit(bench):
+    """A hit runs the residue-only update; a layer whose active set has run
+    empty launches no kernel at all."""
+    net, cfg, y0 = bench
+    tracer = Tracer()
+    engine = SNICIT(net, cfg, tracer=tracer, reuse=CentroidCache(tolerance=1e9))
+    engine.infer(y0)  # fills the cache
+    # one column whose residue empties before the last post-convergence layers
+    result = engine.infer(benchmark_input(net, 64, seed=2)[:, 7:8])
+    assert result.stats["centroid_reuse"]["hit"] is True
+    req = tracer.roots()[-1]
+    assert req.args["centroid_reuse"] == "hit"
+    stages = req.children
+    assert [s.name for s in stages] == [
+        "pre_convergence", "conversion", "post_convergence", "recovery",
+    ]
+    _, conv, post, rec = stages
+    assert conv.args["reuse"] == "hit"
+    assert post.args["reuse"] == "hit" and rec.args["reuse"] == "hit"
+    post_layers = post.children
+    post_depth = net.num_layers - result.stats["threshold_layer"]
+    assert len(post_layers) == post_depth
+    assert len(result.stats["active_columns_trace"]) == post_depth
+    active = [layer_span.args["active_columns"] for layer_span in post_layers]
+    assert max(active) > 0 and min(active) == 0  # both kinds of layer occur
+    for layer_span in post_layers:
+        kernels = [k.name for k in layer_span.children]
+        if layer_span.args["active_columns"] > 0:
+            assert kernels == ["load_reduced_spmm", "update_residues_external"]
+        else:
+            assert kernels == []
 
 
 def test_trace_spans_stay_inside_their_parents(bench):

@@ -277,6 +277,81 @@ def test_oversized_conversion_not_captured(workload):
     engine = SNICIT(net, cfg, reuse=cache)
     engine.infer(y0)
     assert len(cache) == 0  # conversion had more centroids than the cap
+    assert cache.stats()["skipped_fills"] == 1
     assert engine.infer(y0).stats["centroid_reuse"] == {
         "enabled": True, "hit": False, "reason": "cold"
     }
+
+
+# ------------------------------------------- assign-only reference (bitwise)
+def _assign_only_reference(net, cfg, entry, y0):
+    """A cache hit rebuilt from the full-width reference kernels.
+
+    The block's layer-``t`` activations are assigned to the cached
+    centroids, then ``[cached centroids | pruned residues]`` with mapper
+    ``[-1]*C ++ assign`` runs through load_reduced_spmm and
+    update_centroids_residues for every post-convergence layer and is
+    recovered; the block's columns of the result are returned.
+    """
+    from repro.core.postconv import load_reduced_spmm, update_centroids_residues
+    from repro.core.recovery import recover
+    from repro.kernels import champion_spmm
+
+    t = cfg.threshold_layer
+    y = net.validate_input(y0).astype(np.float32, copy=True)
+    for i in range(t):
+        z, _, _ = champion_spmm(net, i, y)
+        z += net.layers[i].bias_column()
+        y = net.activation(z)
+    assign, _ = assign_cached_centroids(y, entry.cent_y)
+    residues = y - entry.cent_y[:, assign]
+    if cfg.prune_threshold > 0:
+        residues[np.abs(residues) < cfg.prune_threshold] = 0
+    n_cent = entry.n_centroids
+    yhat = np.hstack([entry.cent_y, residues])
+    m = np.concatenate([np.full(n_cent, -1, dtype=np.int64), assign.astype(np.int64)])
+    ne_rec = (yhat != 0).any(axis=0)
+    for i in range(t, net.num_layers):
+        layer = net.layers[i]
+        ne_idx = np.flatnonzero(ne_rec | (m == -1))
+        z = load_reduced_spmm(net.ell(i), yhat, ne_idx, net=net, layer_index=i)
+        bias = layer.bias if isinstance(layer.bias, np.ndarray) else float(layer.bias)
+        yhat, ne_rec = update_centroids_residues(
+            z, bias, m, ne_idx, net.ymax, cfg.prune_threshold
+        )
+    return recover(yhat, m)[:, n_cent:]
+
+
+def _assert_hits_match_reference(net, cfg, fill_block, blocks):
+    engine = SNICIT(net, cfg, reuse=CentroidCache(tolerance=1e9))
+    engine.infer(fill_block)
+    entry = engine.reuse.lookup(cfg.threshold_layer, net.input_dim, network=net)
+    for block in blocks:
+        hit = engine.infer(block)
+        assert hit.stats["centroid_reuse"]["hit"] is True
+        assert np.array_equal(hit.y, _assign_only_reference(net, cfg, entry, block))
+
+
+@pytest.mark.parametrize("bench", ["144-24", "144-120"])
+def test_assign_only_hit_matches_full_width_reference(bench):
+    net = get_benchmark(bench)
+    cfg = sdgc_config(net.num_layers).for_network(net.num_layers)
+    fill = np.asarray(get_input(bench, 64, seed=1))
+    blocks = []
+    for seed in range(2, 6):
+        block = np.asarray(get_input(bench, 64, seed=seed))
+        blocks += [block, (2.0 * block).astype(np.float32)]
+    _assert_hits_match_reference(net, cfg, fill, blocks)
+
+
+def test_assign_only_hit_matches_full_width_reference_on_medium():
+    from repro.harness.experiments.table4 import medium_config
+    from repro.harness.medium import get_trained
+
+    tm = get_trained("A")
+    net = tm.stack.network
+    cfg = medium_config(tm.spec.sparse_layers).for_network(net.num_layers)
+    base = tm.stack.head(tm.test.images[:128]).astype(np.float32)
+    _assert_hits_match_reference(
+        net, cfg, base[:, :64], [base[:, 64:], (2.0 * base[:, 64:]).astype(np.float32)]
+    )
