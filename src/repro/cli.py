@@ -241,7 +241,6 @@ def _serve_router(args, models) -> int:
             name, net, config=cfg, warm=True, tracer=tracer,
             warm_state=args.warm_state,
             centroid_reuse=args.centroid_reuse, reuse_tolerance=args.reuse_tolerance,
-            revise_ratio=args.revise_ratio,
             slo=args.slo,
             qos=qos_map.get(name),
         )
@@ -353,7 +352,6 @@ def _serve_fleet(args, tenants) -> int:
             name, benchmark, threshold=args.threshold, slo=args.slo,
             centroid_reuse=args.centroid_reuse,
             reuse_tolerance=args.reuse_tolerance,
-            revise_ratio=args.revise_ratio,
             warm_state=args.warm_state,
             qos=qos_map.get(name),
         )
@@ -451,7 +449,6 @@ def _cmd_warmup(args) -> int:
         net, cfg, warm=args.save is not None,
         centroid_reuse=args.centroid_reuse,
         reuse_tolerance=args.reuse_tolerance,
-        revise_ratio=args.revise_ratio,
     )
 
     if args.load is not None:
@@ -460,24 +457,19 @@ def _cmd_warmup(args) -> int:
         log.info(f"loaded {args.load} ({manifest['size_bytes']} bytes) in "
                  f"{(time.perf_counter() - t0) * 1e3:.1f} ms: "
                  f"{manifest['dense_views']} dense / {manifest['ell_views']} ELL "
-                 f"views, {manifest['plan_layers']} plan layers, "
-                 f"{manifest['memo_choices']} memo choices, "
-                 f"{manifest['memo_costs']} cost baselines, "
-                 f"{manifest['cache_entries']} cache fills adopted "
+                 f"views, {manifest['cache_entries']} cache fills adopted "
                  f"({manifest['cache_skipped']} skipped)")
         return 0
 
     if prime > 0:
         # priming traffic teaches the session what warmup alone cannot:
-        # centroid-cache fills with staleness baselines, per-bucket costs
+        # centroid-cache fills with staleness baselines
         _serve_solo(session, stream, args.max_batch)
     manifest = session.save_warm_state(args.save)
     log.info(f"saved {args.save} ({manifest['size_bytes']} bytes) for "
              f"{net.name} [{manifest['fingerprint']}]: "
              f"{manifest['dense_views']} dense / {manifest['ell_views']} ELL "
-             f"views, {manifest['plan_layers']} plan layers, "
-             f"{manifest['memo_costs']} cost baselines, "
-             f"{manifest['cache_entries']} cache fills "
+             f"views, {manifest['cache_entries']} cache fills "
              f"({prime} priming requests)")
     return 0
 
@@ -651,16 +643,6 @@ def _add_reuse_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_revise_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--revise-ratio", type=float, default=None, metavar="R",
-        help="arm the strategy memo's measure-and-revise loop: when a "
-             "bucket's observed cost EWMA drifts past baseline*R (R > 1), "
-             "its memoized kernel choice is re-derived (default: replay "
-             "the first decision forever)",
-    )
-
-
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -799,7 +781,6 @@ def build_parser() -> argparse.ArgumentParser:
              "interactive with weight 1 and no limit",
     )
     _add_reuse_flags(serve_p)
-    _add_revise_flag(serve_p)
     _add_obs_flags(serve_p)
     _add_endpoint_flags(serve_p)
     serve_p.set_defaults(fn=_cmd_serve)
@@ -904,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     warm_p.add_argument(
         "--save", default=None, metavar="PATH",
-        help="warm a session (bake + optional priming traffic) and snapshot "
+        help="warm a session (pin views + optional priming traffic) and snapshot "
              "its state to PATH as a repro-warmstore artifact",
     )
     warm_p.add_argument(
@@ -915,15 +896,14 @@ def build_parser() -> argparse.ArgumentParser:
     warm_p.add_argument(
         "--prime", type=int, default=16, metavar="N",
         help="requests of seeded priming traffic to serve before saving, so "
-             "the artifact carries centroid-cache fills and measured cost "
-             "baselines, not just baked views (0 saves bake-only state)",
+             "the artifact carries centroid-cache fills, not just pinned "
+             "views (0 saves views only)",
     )
     warm_p.add_argument("--request-cols", type=_positive_int, default=4)
     warm_p.add_argument("--max-batch", type=_positive_int, default=64)
     warm_p.add_argument("--threshold", type=int, default=None)
     warm_p.add_argument("--seed", type=int, default=1)
     _add_reuse_flags(warm_p)
-    _add_revise_flag(warm_p)
     warm_p.set_defaults(fn=_cmd_warmup)
     return parser
 

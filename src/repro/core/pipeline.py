@@ -26,13 +26,8 @@ from repro.gpu.costmodel import CostSnapshot, KernelCharge
 from repro.gpu.device import VirtualDevice
 from repro.gpu.memory import BufferPool
 from repro.inference import InferenceResult
-from repro.kernels import (
-    StrategyMemo,
-    assign_cached_centroids,
-    assign_charge,
-    champion_spmm,
-    charge_for,
-)
+from repro.core.plan import bake_plan
+from repro.kernels import assign_cached_centroids, assign_charge, charge_for
 from repro.network import SparseNetwork
 from repro.obs import as_tracer
 
@@ -102,10 +97,6 @@ class SNICIT:
     device:
         Virtual device for cost accounting (a fresh one per engine by
         default).
-    memo:
-        Optional :class:`~repro.kernels.StrategyMemo`.  A warm session passes
-        one so champion strategy decisions are replayed across calls instead
-        of re-derived per layer.
     scratch:
         Optional :class:`~repro.gpu.memory.BufferPool`.  When given, the
         pre-convergence layers ping-pong between pooled output buffers via
@@ -120,7 +111,7 @@ class SNICIT:
         tracer — the hot path pays nothing.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry` for strategy-decision
-        counters (``spmm_strategy_total``).
+        counters (``spmm_strategy_total``), pre-bound on the engine's plan.
     reuse:
         Optional :class:`~repro.core.reuse.CentroidCache`.  A warm session
         passes one so the layer-``t`` centroids (and their post-convergence
@@ -131,13 +122,12 @@ class SNICIT:
         staleness policy forces a full re-conversion (which refills the
         entry) when the block's assignment distance or residue density
         drifts past the configured budget.
-    plan:
-        Optional :class:`~repro.core.plan.StrategyPlan` baked at session
-        warmup.  When set, every spMM dispatch goes through the plan's
-        frozen per-layer decision instead of the memoized champion — a tuple
-        index instead of a memo lookup per layer.  Strategy choice never
-        changes results (all spMM kernels accumulate identically), so a
-        planned engine stays bitwise identical to an unplanned one.
+
+    Every engine bakes its :class:`~repro.core.plan.StrategyPlan` (``plan``)
+    at construction: each layer's kernel decision is made once from the
+    network alone, no weight view is built, and every spMM of the engine's
+    life dispatches through it.  So every engine serving a network runs the
+    same kernel for the same block and gives the same bits, warm or cold.
     """
 
     name = "SNICIT"
@@ -147,22 +137,18 @@ class SNICIT:
         network: SparseNetwork,
         config: SNICITConfig,
         device: VirtualDevice | None = None,
-        memo: StrategyMemo | None = None,
         scratch: BufferPool | None = None,
         tracer=None,
         metrics=None,
         reuse: CentroidCache | None = None,
-        plan=None,
     ):
         self.network = network
         self.config = config.for_network(network.num_layers)
         self.device = device or VirtualDevice()
-        self.memo = memo
         self.scratch = scratch
         self.tracer = as_tracer(tracer)
-        self.metrics = metrics
         self.reuse = reuse
-        self.plan = plan
+        self.plan = bake_plan(network, metrics=metrics)
         # residue arithmetic (Eq. 4-6) needs a fixed activation width from the
         # threshold layer onward; reject shape-changing post-convergence
         # layers up front rather than failing mid-inference.  With
@@ -506,12 +492,8 @@ class SNICIT:
 
     # ------------------------------------------------------------- helpers
     def _spmm(self, i: int, y: np.ndarray, out: np.ndarray | None = None):
-        """One spMM dispatch: baked plan when present, champion otherwise."""
-        if self.plan is not None:
-            return self.plan.dispatch(self.network, i, y, out=out)
-        return champion_spmm(
-            self.network, i, y, memo=self.memo, out=out, metrics=self.metrics
-        )
+        """One spMM dispatch through the engine's baked plan."""
+        return self.plan.dispatch(self.network, i, y, out=out)
 
     def _feedforward_layer(self, i: int, y: np.ndarray) -> np.ndarray:
         """One pre-convergence layer.

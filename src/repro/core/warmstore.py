@@ -1,23 +1,32 @@
 """Persistent warm-state artifacts (fingerprint-keyed warmup snapshots).
 
-Everything a warm :class:`~repro.serve.EngineSession` knows was *learned* at
-runtime — pinned weight views, the baked :class:`~repro.core.plan.
-StrategyPlan`, :class:`~repro.kernels.StrategyMemo` choices and their
-measured cost baselines, :class:`~repro.core.reuse.CentroidCache` fills with
-their staleness baselines — and all of it dies with the process.  At fleet
-scale that is the dominant cold-start cost: every worker re-pays registry
-warmup on boot and on every crash-restart, then re-learns the same state
-from its first blocks of traffic.  SparseDNN's ahead-of-time specialization
-and XY-2021's measured kernel selection both point at the fix: serialize the
-warm state once, key it by network fingerprint, and let every worker load it.
+A warm :class:`~repro.serve.EngineSession` holds state that costs time to
+build — pinned weight views, and :class:`~repro.core.reuse.CentroidCache`
+fills with their staleness baselines learned from traffic — and all of it
+dies with the process.  At fleet scale that is the dominant cold-start
+cost: every worker re-pays registry warmup on boot and on every
+crash-restart, then re-learns the same cache fills from its first blocks of
+traffic.  SparseDNN's ahead-of-time specialization points at the fix:
+serialize the warm state once, key it by network fingerprint, and let every
+worker load it.  The artifact holds exactly two things:
+
+* the **pinned views** — dense views of colwise layers and ELL views of
+  ELL-format layers, the set :meth:`~repro.serve.EngineSession.warmup`
+  pins;
+* the **centroid-cache entries**, each with its fill-time staleness
+  baselines.
+
+It holds no strategy decision: every engine bakes its
+:class:`~repro.core.plan.StrategyPlan` at construction, from the network
+alone, in about a millisecond.
 
 The artifact mirrors :mod:`repro.serialize`: a NumPy ``.npz`` container
 whose ``header`` member is a JSON document (encoded as a ``uint8`` array)
 describing the payload — format version, network fingerprint, engine kind,
-the memo snapshot, the plan's layer table, and offset tables into the flat
-array members.  Dense views are concatenated into one flat ``float32``
-member (three zip members load measurably faster than one per layer); ELL
-and cache arrays keep their own members because their dtypes vary.  The
+and offset tables into the flat array members.  Dense views are
+concatenated into one flat ``float32`` member (three zip members load
+measurably faster than one per layer); ELL and cache arrays keep their own
+members because their dtypes vary.  The
 container is deliberately **uncompressed**: load time is the entire point,
 and warm state is a few MB.
 
@@ -28,12 +37,16 @@ Safety invariants (see DESIGN.md "Warm-state artifacts"):
   other network raises :class:`~repro.errors.ConfigError` — stale or
   foreign warm state must fail loudly, never silently corrupt outputs.
 * **Version refusal.**  A header with a different ``format_version`` (or a
-  corrupt/truncated container) raises :class:`~repro.errors.FormatError`.
-* **Bitwise identity.**  Everything restored is either a verbatim copy of
-  derived state (views rebuild bitwise-identically from CSR anyway) or a
-  pure performance decision (strategy choices, cost baselines, cache
-  baselines) — so a loaded session's outputs are bitwise identical to a
-  freshly warmed session's, which are bitwise identical to a cold engine's.
+  corrupt/truncated container) raises :class:`~repro.errors.FormatError`:
+  boot cold.  Version 1 artifacts also carried a strategy memo and a plan
+  table; this build reads version 2 only.
+* **Bitwise identity.**  The views are verbatim copies of derived state
+  (they rebuild bitwise-identically from CSR anyway), and the loading
+  engine dispatches through the same plan a fresh one would bake, so it
+  runs the same kernel per block.  The cache entries carry the warm
+  session's centroids forward exactly.  So a loaded session's outputs are
+  bitwise identical to the session that saved it, continuing the same
+  stream, and to a freshly warmed or a cold session serving that stream.
 """
 
 from __future__ import annotations
@@ -45,14 +58,13 @@ import zipfile
 
 import numpy as np
 
-from repro.core.plan import StrategyPlan
 from repro.core.reuse import CachedConversion
 from repro.errors import ConfigError, FormatError
 from repro.sparse.ell import ELLMatrix
 
 __all__ = ["WARMSTORE_VERSION", "save_warm_state", "load_warm_state", "peek_header"]
 
-WARMSTORE_VERSION = 1
+WARMSTORE_VERSION = 2
 _MAGIC = "repro-warmstore"
 
 
@@ -63,11 +75,10 @@ def _network_fingerprint(network) -> str:
 def save_warm_state(session, path: str) -> dict:
     """Snapshot a session's warm state to ``path``; returns a manifest.
 
-    Captures whatever the session actually holds: pinned dense/ELL views,
-    the baked plan (SNICIT engines), the strategy memo's choices and cost
-    baselines, and — when centroid reuse is on — every cached conversion
-    with its fill-time staleness baselines.  A session that has not been
-    warmed has nothing worth persisting, so this raises
+    Captures whatever the session actually holds: pinned dense/ELL views
+    and — when centroid reuse is on — every cached conversion with its
+    fill-time staleness baselines.  A session that has not been warmed has
+    nothing worth persisting, so this raises
     :class:`~repro.errors.ConfigError` instead of writing an artifact that
     would silently boot peers cold.
     """
@@ -139,8 +150,6 @@ def save_warm_state(session, path: str) -> dict:
             "layers": len(net.layers),
         },
         "engine_kind": session.kind,
-        "memo": session.memo.export_state(),
-        "plan": session.plan.to_state() if session.plan is not None else None,
         "views": {"dense": dense_meta, "ell": ell_meta},
         "cache": cache_meta,
     }
@@ -157,9 +166,6 @@ def save_warm_state(session, path: str) -> dict:
         "fingerprint": fingerprint,
         "dense_views": len(dense_meta),
         "ell_views": len(ell_meta),
-        "plan_layers": len(header["plan"]["layers"]) if header["plan"] else 0,
-        "memo_choices": len(header["memo"]["choices"]),
-        "memo_costs": len(header["memo"]["costs"]),
         "cache_entries": len(cache_meta),
     }
 
@@ -205,9 +211,7 @@ def load_warm_state(session, path: str) -> dict:
     The artifact must match the session's network fingerprint and engine
     kind (:class:`~repro.errors.ConfigError` otherwise — a wrong artifact is
     a deployment mistake, not a file-format problem).  Restores pinned
-    views, the baked plan (metric counters re-bound to the session's scoped
-    registry, revision re-attached to the session memo), the memo snapshot,
-    and cache fills.  Cache entries are skipped — and counted in the
+    views and cache fills.  Cache entries are skipped — and counted in the
     manifest — when the session has centroid reuse disabled or the entry
     belongs to a different scope.
     """
@@ -248,20 +252,6 @@ def load_warm_state(session, path: str) -> dict:
             (meta["rows"], meta["cols"]),
         )
 
-    # ---- memo choices + cost baselines
-    memo_state = header.get("memo") or {"choices": [], "costs": []}
-    session.memo.import_state(memo_state)
-
-    # ---- baked plan (SNICIT engines)
-    plan_state = header.get("plan")
-    if plan_state is not None:
-        plan = StrategyPlan.from_state(plan_state).bind_metrics(session.scoped)
-        if session.memo.revise_ratio is not None:
-            plan.enable_revision(session.memo)
-        session.plan = plan
-        if hasattr(session.engine, "plan"):
-            session.engine.plan = plan
-
     # ---- centroid cache fills
     adopted = skipped = 0
     reuse = getattr(session, "reuse", None)
@@ -290,9 +280,6 @@ def load_warm_state(session, path: str) -> dict:
         "fingerprint": fingerprint,
         "dense_views": len(views.get("dense", [])),
         "ell_views": len(views.get("ell", [])),
-        "plan_layers": len(plan_state["layers"]) if plan_state else 0,
-        "memo_choices": len(memo_state.get("choices", [])),
-        "memo_costs": len(memo_state.get("costs", [])),
         "cache_entries": adopted,
         "cache_skipped": skipped,
     }

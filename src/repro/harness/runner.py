@@ -58,7 +58,6 @@ def make_engine(
     kind: str,
     net: SparseNetwork,
     snicit_config: SNICITConfig | None = None,
-    memo=None,
     scratch=None,
     tracer=None,
     metrics=None,
@@ -66,17 +65,16 @@ def make_engine(
 ):
     """Instantiate an engine by name ('snicit', 'dense', 'bf2019', ...).
 
-    ``memo``/``scratch``/``reuse`` are forwarded to SNICIT so warm sessions
-    (:class:`repro.serve.EngineSession`) can share strategy decisions,
-    output buffers, and cached conversions across calls; ``tracer``/
-    ``metrics`` hook the engine into :mod:`repro.obs`.  The stateless
-    baselines ignore all five.
+    ``scratch``/``reuse`` are forwarded to SNICIT so warm sessions
+    (:class:`repro.serve.EngineSession`) can share output buffers and cached
+    conversions across calls; ``tracer``/``metrics`` hook the engine into
+    :mod:`repro.obs`.  The stateless baselines ignore all four.
     """
     if kind == "snicit":
         if snicit_config is None:
             raise ConfigError("snicit engine needs a SNICITConfig")
         return SNICIT(
-            net, snicit_config, memo=memo, scratch=scratch,
+            net, snicit_config, scratch=scratch,
             tracer=tracer, metrics=metrics, reuse=reuse,
         )
     try:

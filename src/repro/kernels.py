@@ -1,26 +1,30 @@
 """The shared "champion" spMM kernel with strategy selection.
 
 XY-2021's contribution is an spMM *optimization space* searched with a cost
-model.  For the Radix-Net workloads the space collapses to a simple but
-effective choice per layer:
+model.  For the Radix-Net and medium workloads the space collapses to one
+rule with a network-only half and a per-block half:
 
-* when the activation block has many all-zero rows (dead neurons across the
-  whole batch — the dominant regime deep in SDGC nets), use the
-  column-masked kernel :func:`~repro.sparse.spmm.spmm_masked`, whose work
-  scales with the *live* rows;
-* otherwise use the ELLPACK kernel, the fastest dense-activation strategy
-  for fixed fan-in.
+* a dense-ish layer (weight density at or above
+  :data:`DENSE_WEIGHT_THRESHOLD`) always runs the activation-driven
+  column-wise kernel;
+* a sparse layer picks, per block, the column-masked kernel
+  :func:`~repro.sparse.spmm.spmm_masked` when the activation block has many
+  all-zero rows (dead neurons across the whole batch — the dominant regime
+  deep in SDGC nets), whose work scales with the *live* rows;
+* otherwise the batch-parallel kernel in the layer's storage format: ELL for
+  near-uniform fan-in, CSR row-split when ELL padding would waste work.
 
-SNICIT §3.1/§3.3.1 states it adopts the champions' kernels for both its
-pre-convergence and load-reduced spMM stages, so this module is used by the
-XY-2021 baseline *and* by SNICIT — the comparison between them then isolates
-exactly what the paper isolates: the value of compression at inference time,
-not kernel differences.
+:func:`plan_layer` is the network-only half and :func:`planned_spmm` the
+per-block half; they are the rule's only copy.  SNICIT §3.1/§3.3.1 states it
+adopts the champions' kernels for both its pre-convergence and load-reduced
+spMM stages, so this module is used by the XY-2021 baseline *and* by SNICIT
+— the comparison between them then isolates exactly what the paper isolates:
+the value of compression at inference time, not kernel differences.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +35,15 @@ from repro.sparse.convert import preferred_spmm_format
 from repro.sparse.spmm import spmm_colwise, spmm_ell, spmm_masked, spmm_reduceat
 
 __all__ = [
-    "champion_spmm",
+    "LayerPlan",
+    "plan_layer",
     "planned_spmm",
+    "champion_spmm",
     "baseline_spmm",
     "charge_for",
     "l0_nearest",
     "assign_cached_centroids",
     "assign_charge",
-    "StrategyMemo",
     "LIVE_ROW_THRESHOLD",
     "DENSE_WEIGHT_THRESHOLD",
 ]
@@ -52,324 +57,81 @@ LIVE_ROW_THRESHOLD = 0.6
 DENSE_WEIGHT_THRESHOLD = 0.2
 
 
-class StrategyMemo:
-    """Memoized champion choices per ``(network, layer, live-fraction bucket)``.
+@dataclass(frozen=True)
+class LayerPlan:
+    """One layer's kernel decision, fixed by the network alone.
 
-    A warm serving session sees the same layers with very similar activation
-    liveness call after call, so the champion decision is stable within a
-    coarse live-fraction bucket.  The memo records the first decision for
-    each bucket and replays it afterwards — the hook SparseDNN-style
-    pre-specialized engines use to stop re-deriving per-layer strategy.
-
-    Entries are scoped by the owning network's
-    :attr:`~repro.network.SparseNetwork.fingerprint`: a memo that is shared
-    across sessions (or persisted and resumed against a different network)
-    must never replay network A's champion for network B's same-index layer
-    — layer 3 of a 1 %-dense SDGC net and layer 3 of a 55 %-dense medium
-    net want opposite strategies.  Legacy callers that pass no network share
-    a single ``None`` scope, preserving the old single-network behavior.
-
-    With ``revise_ratio`` set the memo goes beyond replay-first-decision to
-    *measure-and-revise* (XY-2021's ``explore='measure'`` idiom): every
-    dispatch reports its wall time via :meth:`observe`, which keeps an EWMA
-    per bucket against a baseline frozen after ``min_samples`` observations.
-    When the EWMA drifts past ``baseline * revise_ratio`` the recorded
-    choice is dropped, forcing the next call through the champion tournament
-    again, and the cost record resets so the new champion earns a fresh
-    baseline.  Revision only ever discards a *decision* — every candidate
-    kernel accumulates in the same per-element order (the format half of the
-    decision is static per layer), so outputs are bitwise unaffected; only
-    the ``strategy_revised_total`` counter moves.  Cost records persist
-    through :meth:`export_state`/:meth:`import_state` so a restored session
-    resumes with the baselines it measured, not a blank slate.
+    ``strategy`` is ``'colwise'`` (static: the layer is dense-ish) or
+    ``'dynamic'`` (each block picks ``'masked'`` below
+    :data:`LIVE_ROW_THRESHOLD` live rows, the batch-parallel kernel above
+    it).  ``format`` names the storage the layer runs from: ``'dense'`` for
+    colwise, ``'ell'`` or ``'csr'`` for the batch-parallel branch of a
+    dynamic layer.
     """
 
-    def __init__(
-        self,
-        n_buckets: int = 16,
-        revise_ratio: float | None = None,
-        min_samples: int = 3,
-        ewma_alpha: float = 0.25,
-    ):
-        if n_buckets < 1:
-            raise ConfigError(f"n_buckets must be >= 1, got {n_buckets}")
-        if revise_ratio is not None and revise_ratio <= 1.0:
-            # a ratio at or below 1 would revise on any jitter and could
-            # thrash forever; > 1 guarantees convergence under stable costs
-            raise ConfigError(f"revise_ratio must be > 1, got {revise_ratio}")
-        if min_samples < 1:
-            raise ConfigError(f"min_samples must be >= 1, got {min_samples}")
-        self.n_buckets = int(n_buckets)
-        self.revise_ratio = None if revise_ratio is None else float(revise_ratio)
-        self.min_samples = int(min_samples)
-        self.ewma_alpha = float(ewma_alpha)
-        self._choice: dict[tuple[str | None, int, int], str] = {}
-        #: per-key ``[count, ewma_seconds, baseline_seconds]`` cost records
-        self._cost: dict[tuple[str | None, int, int], list[float]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.revisions = 0
-        self._hit_counter = None
-        self._miss_counter = None
-        self._revise_counter = None
-
-    @staticmethod
-    def _scope(network) -> str | None:
-        """Memo scope for a network: its fingerprint (or a raw string key)."""
-        if network is None:
-            return None
-        return getattr(network, "fingerprint", network)
-
-    def bind_metrics(self, registry) -> "StrategyMemo":
-        """Mirror hit/miss counts onto a :class:`~repro.obs.MetricsRegistry`.
-
-        The memo binds once (e.g. at :class:`~repro.serve.EngineSession`
-        construction); lookups then pay one extra ``inc`` instead of a
-        registry lookup per layer.  An ``entries`` gauge is published at
-        scrape time.
-        """
-        self._hit_counter = registry.counter(
-            "memo_hits_total", help="strategy memo lookups served from cache"
-        )
-        self._miss_counter = registry.counter(
-            "memo_misses_total", help="strategy memo lookups that re-derived"
-        )
-        self._revise_counter = registry.counter(
-            "strategy_revised_total",
-            help="memoized strategy choices dropped after cost drift",
-        )
-        gauge = registry.gauge(
-            "memo_entries", help="distinct (network, layer, bucket) choices"
-        )
-        registry.on_collect(lambda _reg: gauge.set(len(self._choice)))
-        return self
-
-    def bucket(self, live_fraction: float) -> int:
-        """Quantize a live fraction in [0, 1] to a bucket index."""
-        return min(int(live_fraction * self.n_buckets), self.n_buckets - 1)
-
-    def lookup(self, layer: int, live_fraction: float, network=None) -> str | None:
-        key = (self._scope(network), layer, self.bucket(live_fraction))
-        strategy = self._choice.get(key)
-        if strategy is None:
-            self.misses += 1
-            if self._miss_counter is not None:
-                self._miss_counter.inc()
-        else:
-            self.hits += 1
-            if self._hit_counter is not None:
-                self._hit_counter.inc()
-        return strategy
-
-    def record(
-        self, layer: int, live_fraction: float, strategy: str, network=None
-    ) -> None:
-        key = (self._scope(network), layer, self.bucket(live_fraction))
-        self._choice[key] = strategy
-
-    def observe(
-        self,
-        layer: int,
-        live_fraction: float,
-        strategy: str,
-        seconds: float,
-        network=None,
-    ) -> bool:
-        """Feed one measured dispatch cost; returns True if it revised.
-
-        The EWMA for the bucket updates on every observation; once
-        ``min_samples`` have accumulated the current EWMA freezes as the
-        bucket's baseline.  With :attr:`revise_ratio` enabled, an EWMA that
-        drifts past ``baseline * revise_ratio`` drops the memoized choice
-        (the next lookup misses and re-runs the champion tournament) and
-        resets the record — so after any drift event, stable costs settle a
-        new baseline and revisions stop.  ``strategy`` is accepted for
-        symmetry with :meth:`record` and future per-strategy records; the
-        cost key is the same ``(scope, layer, bucket)`` as the choice key.
-        """
-        del strategy  # cost records are keyed per bucket, not per strategy
-        key = (self._scope(network), layer, self.bucket(live_fraction))
-        rec = self._cost.get(key)
-        if rec is None:
-            rec = self._cost[key] = [0.0, 0.0, 0.0]
-        count = int(rec[0]) + 1
-        ewma = (
-            float(seconds)
-            if count == 1
-            else (1.0 - self.ewma_alpha) * rec[1] + self.ewma_alpha * float(seconds)
-        )
-        baseline = ewma if count == self.min_samples else rec[2]
-        rec[0], rec[1], rec[2] = float(count), ewma, baseline
-        if (
-            self.revise_ratio is not None
-            and count > self.min_samples
-            and baseline > 0.0
-            and ewma > baseline * self.revise_ratio
-        ):
-            self._choice.pop(key, None)
-            rec[0] = rec[1] = rec[2] = 0.0
-            self.revisions += 1
-            if self._revise_counter is not None:
-                self._revise_counter.inc()
-            return True
-        return False
-
-    # ------------------------------------------------------------ persistence
-    def export_state(self) -> dict:
-        """JSON-safe snapshot of choices and cost baselines (for warmstore)."""
-        return {
-            "n_buckets": self.n_buckets,
-            "choices": [
-                [scope, layer, bucket, strategy]
-                for (scope, layer, bucket), strategy in sorted(
-                    self._choice.items(), key=lambda kv: (kv[0][0] or "", kv[0][1:])
-                )
-            ],
-            "costs": [
-                [scope, layer, bucket, rec[0], rec[1], rec[2]]
-                for (scope, layer, bucket), rec in sorted(
-                    self._cost.items(), key=lambda kv: (kv[0][0] or "", kv[0][1:])
-                )
-            ],
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Restore an :meth:`export_state` snapshot into this memo.
-
-        Bucket indices are only meaningful at the quantization they were
-        recorded under, so a bucket-count mismatch is a configuration error,
-        not something to silently rebucket.
-        """
-        n_buckets = int(state.get("n_buckets", self.n_buckets))
-        if n_buckets != self.n_buckets:
-            raise ConfigError(
-                f"memo state has {n_buckets} buckets but this session uses "
-                f"{self.n_buckets}"
-            )
-        for scope, layer, bucket, strategy in state.get("choices", []):
-            self._choice[(scope, int(layer), int(bucket))] = str(strategy)
-        for scope, layer, bucket, count, ewma, baseline in state.get("costs", []):
-            self._cost[(scope, int(layer), int(bucket))] = [
-                float(count),
-                float(ewma),
-                float(baseline),
-            ]
-
-    def __len__(self) -> int:
-        return len(self._choice)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._choice),
-            "hits": self.hits,
-            "misses": self.misses,
-            "revisions": self.revisions,
-            "cost_entries": len(self._cost),
-        }
+    index: int
+    strategy: str
+    format: str
 
 
-def champion_spmm(
-    net: SparseNetwork,
-    i: int,
-    y: np.ndarray,
-    memo: StrategyMemo | None = None,
-    out: np.ndarray | None = None,
-    metrics=None,
-) -> tuple[np.ndarray, int, str]:
-    """Compute ``W(i) @ y`` with the best strategy for this block.
+def plan_layer(net: SparseNetwork, i: int) -> LayerPlan:
+    """The network-only half of the champion rule for layer ``i``.
 
-    Returns ``(z, work, strategy)``: ``work`` is the kernel's cost-model
-    unit count — multiplied weight nonzeros for the batch-parallel kernels
-    ('masked'/'ell', each unit costs a length-B FMA row), activation
-    nonzeros for the column-wise kernel (each unit costs a length-N_out FMA
-    column).
-
-    ``memo`` replays a previously recorded strategy for this layer's
-    live-fraction bucket instead of re-deriving it; ``out`` is an optional
-    preallocated ``(n_out, B)`` result buffer (must not alias ``y``);
-    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) counts each strategy
-    decision under ``spmm_strategy_total{strategy=...}``.
+    Decision only: no weight view is built, so a cold engine stays lazy.
     """
-    layer = net.layers[i]
-    dense_ish = layer.weight.density >= DENSE_WEIGHT_THRESHOLD
-    live = None
-    if dense_ish:
-        # the colwise decision is static per layer (weight density alone),
-        # so it memoizes under the full-liveness bucket without paying the
-        # live-row scan — the memo is still consulted every call, keeping
-        # warm-session hit counters honest on dense-ish networks
-        frac = 1.0
-    else:
-        live = (y != 0).any(axis=1)
-        frac = float(live.mean()) if live.size else 0.0
-    strategy = memo.lookup(i, frac, network=net) if memo is not None else None
-    if strategy is None:
-        if dense_ish:
-            strategy = "colwise"
-        elif frac < LIVE_ROW_THRESHOLD:
-            strategy = "masked"
-        else:
-            # same format rule the baked plan uses, so a cold champion
-            # engine and a warm planned session accumulate identically
-            # (ELL and CSR row-split sum in different orders, so the
-            # format choice — unlike the strategy choice — changes bits)
-            strategy = preferred_spmm_format(layer.weight)
-        if memo is not None:
-            memo.record(i, frac, strategy, network=net)
-    if metrics is not None:
-        metrics.counter("spmm_strategy_total", strategy=strategy).inc()
-    t0 = time.perf_counter() if memo is not None else 0.0
-    if strategy == "colwise":
-        z, work = spmm_colwise(net.dense(i), y, out=out)
-    elif strategy == "masked":
-        if live is None:  # memo replayed 'masked' from a dense-ish bucket
-            live = (y != 0).any(axis=1)
-        z, work = spmm_masked(layer.weight, y, live, out=out)
-    elif strategy == "ell":
-        z = spmm_ell(net.ell(i), y, out=out)
-        work = layer.weight.nnz
-    else:
-        z = spmm_reduceat(layer.weight, y, out=out)
-        work = layer.weight.nnz
-    if memo is not None:
-        # feed the measure-and-revise loop; with revise_ratio unset this
-        # only accumulates the cost baselines the warmstore persists
-        memo.observe(i, frac, strategy, time.perf_counter() - t0, network=net)
-    return z, work, strategy
+    weight = net.layers[i].weight
+    if weight.density >= DENSE_WEIGHT_THRESHOLD:
+        return LayerPlan(i, "colwise", "dense")
+    return LayerPlan(i, "dynamic", preferred_spmm_format(weight))
 
 
 def planned_spmm(
     net: SparseNetwork,
-    lp,
+    lp: LayerPlan,
     y: np.ndarray,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, str, float]:
-    """Compute ``W(i) @ y`` via a baked :class:`~repro.core.plan.LayerPlan`.
+) -> tuple[np.ndarray, int, str]:
+    """Compute ``W(i) @ y`` by layer plan ``lp``; the block-dependent half.
 
-    The pre-specialized twin of :func:`champion_spmm`: the layer's strategy
-    class and sparse format were decided once at warmup, so the per-block
-    work is a field read (plus the unavoidable live-row scan for dynamic
-    layers, whose masked-vs-batch-parallel choice genuinely depends on the
-    activations).  Bitwise-identical results — every kernel here accumulates
-    in the same per-element order.  Returns ``(z, work, strategy, frac)``;
-    the extra live-fraction element (vs :func:`champion_spmm`'s 3-tuple)
-    lets :meth:`~repro.core.plan.StrategyPlan.dispatch` feed the
-    measure-and-revise memo without paying a second live-row scan.
+    Returns ``(z, work, strategy)``: ``work`` is the kernel's cost-model
+    unit count — multiplied weight nonzeros for the batch-parallel kernels
+    ('masked'/'ell'/'csr', each unit costs a length-B FMA row), activation
+    nonzeros for the column-wise kernel (each unit costs a length-N_out FMA
+    column).  ``out`` is an optional preallocated ``(n_out, B)`` result
+    buffer (must not alias ``y``).
+
+    A dynamic layer scans the block's live rows and picks ``'masked'`` below
+    :data:`LIVE_ROW_THRESHOLD`.  That choice is per block, and it can move
+    the last bits: ``'masked'``, ``'ell'`` and ``'csr'`` do not sum each
+    element in the same order.  The same plan and the same block always run
+    the same kernel, so they always give the same bits.
     """
     if lp.strategy == "colwise":
         z, nnz = spmm_colwise(net.dense(lp.index), y, out=out)
-        return z, nnz, "colwise", 1.0
+        return z, nnz, "colwise"
     layer = net.layers[lp.index]
     live = (y != 0).any(axis=1)
     frac = float(live.mean()) if live.size else 0.0
-    if frac < lp.live_threshold:
+    if frac < LIVE_ROW_THRESHOLD:
         z, active_nnz = spmm_masked(layer.weight, y, live, out=out)
-        return z, active_nnz, "masked", frac
+        return z, active_nnz, "masked"
     if lp.format == "ell":
         z = spmm_ell(net.ell(lp.index), y, out=out)
-        return z, layer.weight.nnz, "ell", frac
+        return z, layer.weight.nnz, "ell"
     z = spmm_reduceat(layer.weight, y, out=out)
-    return z, layer.weight.nnz, "csr", frac
+    return z, layer.weight.nnz, "csr"
+
+
+def champion_spmm(
+    net: SparseNetwork, i: int, y: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, int, str]:
+    """Compute ``W(i) @ y`` with the champion rule, deciding layer ``i`` now.
+
+    The unplanned form of :func:`planned_spmm` for callers that hold no
+    :class:`~repro.core.plan.StrategyPlan` (XY-2021, the figure and ablation
+    harnesses); a SNICIT engine decides every layer once, at construction.
+    """
+    return planned_spmm(net, plan_layer(net, i), y, out)
 
 
 def baseline_spmm(net: SparseNetwork, i: int, y: np.ndarray) -> tuple[np.ndarray, int, str]:

@@ -145,11 +145,11 @@ class SparseNetwork:
     def fingerprint(self) -> str:
         """Stable identity of this network: name, topology, and weight digest.
 
-        Caches that outlive a single network — a shared
-        :class:`~repro.kernels.StrategyMemo` or
-        :class:`~repro.core.reuse.CentroidCache` in a multi-model server —
-        key their entries by this, so two networks that happen to share a
-        layer index can never replay each other's state.  Shape and nnz
+        State that outlives a single network — a
+        :class:`~repro.core.reuse.CentroidCache` shared in a multi-model
+        server, a :mod:`repro.core.warmstore` artifact — keys itself by
+        this, so two networks that happen to share a layer index can never
+        replay each other's state.  Shape and nnz
         alone do not separate same-topology networks built from different
         seeds, so the per-layer weight sums are folded in too.  Computed
         once (O(total nnz)) and cached; layers are immutable after

@@ -12,9 +12,8 @@ lookup afterwards.  Two exports:
   ``BENCH_serve.json`` by :func:`repro.serve.bench.bench_serve`.
 
 Collect callbacks (:meth:`MetricsRegistry.on_collect`) let objects that
-already keep their own counters (``StrategyMemo``, ``BufferPool``,
-``EngineSession``) publish at scrape time instead of paying per-event
-updates.
+already keep their own state (``CentroidCache``'s entry count) publish at
+scrape time instead of paying per-event updates.
 
 Everything here is thread-safe: the async serving transport updates the
 same registry from producer threads and the consumer worker, so every
@@ -327,8 +326,8 @@ class MetricsRegistry:
         The canonical use is tenant isolation in multi-model serving: each
         :class:`~repro.serve.session.EngineSession` takes
         ``registry.labeled(model=name)`` so that two sessions sharing one
-        registry publish ``memo_hits_total{model="a"}`` and
-        ``memo_hits_total{model="b"}`` instead of double-counting a single
+        registry publish ``pool_hit_total{model="a"}`` and
+        ``pool_hit_total{model="b"}`` instead of double-counting a single
         unlabeled series (and clobbering each other's ``on_collect`` gauges).
         """
         return LabeledRegistry(self, labels)

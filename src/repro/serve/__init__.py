@@ -5,8 +5,8 @@ views, strategy decisions, output buffers, and — above all — batch packing.
 This package keeps one engine warm and feeds it well-packed blocks:
 
 * :class:`~repro.serve.session.EngineSession` — a persistent engine wrapper
-  pinning weight views, memoizing champion strategies, and recycling output
-  buffers;
+  pinning the weight views its engine's strategy plan runs from and
+  recycling output buffers;
 * :class:`~repro.serve.batcher.MicroBatcher` — bounded request packing with
   max-batch / max-wait flushing and per-request result splitting;
 * :class:`~repro.serve.router.ModelRegistry` /
@@ -56,7 +56,7 @@ skip sample pruning and the centroid feed-forward entirely (assign-only
 conversion) until the staleness policy detects drift.
 
 The whole stack is instrumented through :mod:`repro.obs`: the session owns a
-:class:`~repro.obs.MetricsRegistry` (queue/batch/pool/memo/strategy series)
+:class:`~repro.obs.MetricsRegistry` (queue/batch/pool/strategy series)
 and an optional :class:`~repro.obs.Tracer` whose spans cover request
 lifecycles, batch pack/execute/resolve, and every engine stage and kernel
 underneath.

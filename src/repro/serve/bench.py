@@ -28,8 +28,8 @@ trajectory.  The record has one section per question:
     crash-injection run proving supervised recovery mid-stream from workers
     booted off a saved warm-state artifact.
 ``warm_boot``
-    One tier booted cold — plan baked, then a priming pass that fills the
-    centroid cache and cost baselines from traffic — then snapshotted and
+    One tier booted cold — views pinned, then a priming pass that fills the
+    centroid cache from traffic — then snapshotted and
     re-booted from the artifact with a single ``load_warm_state`` call (see
     :mod:`repro.core.warmstore`): time-to-warm for both boot modes and the
     identity triangle (loaded == freshly warmed == cold, bitwise).
@@ -391,7 +391,7 @@ def _run_tier(
 
     # per-block engine seconds, in serve order (tickets of one block share
     # its InferenceResult); the steady-state view drops the first block so
-    # one-time effects — plan priming, first pool/view touches — report
+    # one-time effects — first pool/view touches — report
     # separately from the hot-path rate the perf gate regresses on
     seen: set[int] = set()
     blocks: list[tuple[float, int]] = []
@@ -438,7 +438,7 @@ def _run_tier(
             "first_block": first_block,
             "steady_state": steady_state,
             # session lifetime stats: warmup_seconds, busy_seconds, the
-            # baked plan, memo/scratch/cache counters
+            # baked plan, scratch/cache counters
             "session": session.stats(),
             # telemetry of the last warm block (JSON-safe engine report)
             "last_block": report.served[-1].result.to_json() if report.served else None,
@@ -643,26 +643,24 @@ def _streams_identical(report, reference, streams) -> bool:
 #: tier of the warm-boot record, and the settings its sessions run with
 _WARM_BOOT_TIER = "sdgc-shallow"
 _WARM_BOOT_TOLERANCE = 0.0
-_WARM_BOOT_REVISE_RATIO = 2.0
 
 
 def _run_warm_boot(requests: int, request_cols: int, max_batch: int, seed: int) -> dict:
     """Persistent-warmup record: artifact boot vs cold warm+prime.
 
-    The cold path to a fully warm session is two-phase: ``warmup()`` bakes
-    the plan and pins views, then the first blocks of traffic *teach* it —
-    centroid-cache fills with their staleness baselines, per-bucket kernel
-    cost baselines.  The warmstore artifact replaces both phases with one
-    ``load_warm_state`` call, so the honest comparison is::
+    The cold path to a fully warm session is two-phase: ``warmup()`` pins
+    the plan's views, then the first blocks of traffic *teach* it —
+    centroid-cache fills with their staleness baselines.  The warmstore
+    artifact replaces both phases with one ``load_warm_state`` call, so the
+    honest comparison is::
 
-        cold.ready_seconds  = warmup_seconds + prime_seconds   (bake + learn)
+        cold.ready_seconds  = warmup_seconds + prime_seconds   (pin + learn)
         artifact.load_seconds                                   (one load)
 
     The stream is ``repeat`` with reuse tolerance 0 — the regime where
     centroid reuse is bitwise lossless — so the record can also assert the
     identity triangle: loaded-warm == freshly-warmed == cold-boot outputs,
-    all bitwise.  Every session keeps the measure-and-revise loop armed
-    (revise ratio 2), proving a loaded plan revises like a baked one.
+    all bitwise.
     """
     tier = _WARM_BOOT_TIER
     net, cfg, stream = _tier_stream(
@@ -674,13 +672,12 @@ def _run_warm_boot(requests: int, request_cols: int, max_batch: int, seed: int) 
         return EngineSession(
             net, cfg, warm=False,
             centroid_reuse=True, reuse_tolerance=_WARM_BOOT_TOLERANCE,
-            revise_ratio=_WARM_BOOT_REVISE_RATIO,
         )
 
     def serve(session):
         return _outputs(_serve_solo(session, stream, max_batch)[1].served)
 
-    # ---- cold boot: bake the plan, then learn from the priming pass
+    # ---- cold boot: pin the views, then learn from the priming pass
     cold = boot()
     t0 = time.perf_counter()
     cold.warmup()
@@ -690,7 +687,7 @@ def _run_warm_boot(requests: int, request_cols: int, max_batch: int, seed: int) 
     prime_seconds = time.perf_counter() - t0
 
     with _artifact(cold, tier) as (path, save_manifest, save_seconds):
-        # freshly-warmed reference: bakes its own plan, learns its own cache
+        # freshly-warmed reference: pins its own views, learns its own cache
         fresh = boot()
         fresh.warmup()
         fresh_y = serve(fresh)
@@ -712,7 +709,6 @@ def _run_warm_boot(requests: int, request_cols: int, max_batch: int, seed: int) 
         "max_batch": max_batch,
         "stream": "repeat",
         "reuse_tolerance": _WARM_BOOT_TOLERANCE,
-        "revise_ratio": _WARM_BOOT_REVISE_RATIO,
         "cold": {
             "warmup_seconds": warmup_seconds,
             "prime_seconds": prime_seconds,
@@ -724,9 +720,6 @@ def _run_warm_boot(requests: int, request_cols: int, max_batch: int, seed: int) 
             "size_bytes": save_manifest["size_bytes"],
             "dense_views": save_manifest["dense_views"],
             "ell_views": save_manifest["ell_views"],
-            "plan_layers": save_manifest["plan_layers"],
-            "memo_choices": save_manifest["memo_choices"],
-            "memo_costs": save_manifest["memo_costs"],
             "cache_entries_saved": save_manifest["cache_entries"],
             "cache_entries_adopted": load_manifest["cache_entries"],
         },
@@ -876,7 +869,6 @@ def _run_scale_out(worker_counts, requests: int, request_cols: int, seed: int) -
             ),
             "artifact_boot": {
                 "size_bytes": save_manifest["size_bytes"],
-                "plan_layers": save_manifest["plan_layers"],
                 "warm_sources": sources,
                 "all_workers_artifact": all(s == "artifact" for s in sources),
                 "victim_warm_source": sources[victim],

@@ -125,8 +125,6 @@ class TenantSpec:
     slo: str | None = None
     centroid_reuse: bool = False
     reuse_tolerance: float = 0.5
-    #: arm the memo's measure-and-revise loop (see ``EngineSession``)
-    revise_ratio: float | None = None
     #: path to a :mod:`repro.core.warmstore` artifact; workers then boot
     #: warm by loading it (fingerprint-checked) instead of baking, and a
     #: crash-restarted incarnation loads the same file — warmup is paid
@@ -306,7 +304,6 @@ def _worker_run(worker_id, incarnation, specs, options, task_q, result_q,
             warm_state=spec.warm_state,
             centroid_reuse=spec.centroid_reuse,
             reuse_tolerance=spec.reuse_tolerance,
-            revise_ratio=spec.revise_ratio,
             qos=spec.qos,
         )
         warm_sources[spec.name] = session.warm_source

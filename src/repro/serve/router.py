@@ -177,13 +177,13 @@ class ModelRegistry:
         metrics registry, labeled ``model=name`` — or hand in a prebuilt
         ``session``.  ``warm=False`` registers cold (views build lazily on
         first use); ``warm=True`` pins them eagerly.  ``warm_state`` names a
-        :mod:`repro.core.warmstore` artifact to boot from instead of baking:
+        :mod:`repro.core.warmstore` artifact to boot from instead of warming:
         the session is built cold, then
         :meth:`~repro.serve.session.EngineSession.load_warm_state` restores
-        views, plan, memo baselines, and cache fills (fingerprint-checked) —
-        the path fleets use so every worker, including crash-restarted
-        incarnations, skips warmup.  Duplicate names are a
-        :class:`~repro.errors.ConfigError` — a name means one tenant.
+        views and cache fills (fingerprint-checked) — the path fleets use so
+        every worker, including crash-restarted incarnations, skips warmup.
+        Duplicate names are a :class:`~repro.errors.ConfigError` — a name
+        means one tenant.
 
         ``slo`` attaches a per-tenant service-level objective — an
         :class:`~repro.obs.slo.SloPolicy` or a compact spec string like

@@ -1,12 +1,12 @@
 """Persistent engine sessions (warm serving, SparseDNN-style).
 
-A cold inference call pays for everything every time: engine construction,
-lazy ELL/dense weight-view builds, per-layer strategy derivation, and fresh
-``(N, B)`` output allocations on every layer.  :class:`EngineSession` keeps
-all of that warm across calls — it owns one :class:`~repro.network.
-SparseNetwork`, pre-builds and pins the per-layer weight views, memoizes the
-champion strategy per (layer, live-fraction bucket), and recycles output
-buffers through a :class:`~repro.gpu.memory.BufferPool` — so the conversion
+A cold inference call pays for everything every time: engine construction
+(with its per-layer strategy plan), lazy ELL/dense weight-view builds, and
+fresh ``(N, B)`` output allocations on every layer.  :class:`EngineSession`
+keeps all of that warm across calls — it owns one :class:`~repro.network.
+SparseNetwork` and one engine (whose plan lives as long as the session),
+pins the weight views the plan runs from, and recycles output buffers
+through a :class:`~repro.gpu.memory.BufferPool` — so the conversion
 cost SNICIT pays at inference time is amortized over a long request stream,
 the regime where compression at inference time actually wins (PAPER §3).
 """
@@ -18,13 +18,12 @@ import time
 import numpy as np
 
 from repro.core.config import SNICITConfig
-from repro.core.plan import bake_plan
 from repro.core.reuse import CentroidCache
 from repro.gpu.device import VirtualDevice
 from repro.gpu.memory import BufferPool
 from repro.harness.runner import make_engine
 from repro.inference import InferenceResult
-from repro.kernels import DENSE_WEIGHT_THRESHOLD, StrategyMemo
+from repro.kernels import DENSE_WEIGHT_THRESHOLD
 from repro.network import SparseNetwork
 from repro.obs import MetricsRegistry, as_tracer
 
@@ -49,8 +48,6 @@ class EngineSession:
         Pre-build the per-layer ELL/dense weight views at construction
         (``warmup_seconds`` records the cost).  With ``False`` the views are
         still built lazily on first use, as before.
-    memo_buckets:
-        Live-fraction quantization of the strategy memo.
     tracer:
         Optional :class:`~repro.obs.Tracer`; every request the session runs
         then emits a request -> stage -> layer -> kernel span tree.  Default
@@ -63,9 +60,9 @@ class EngineSession:
         through to it.
     name:
         Tenant identity for multi-model serving.  When set, every metric
-        the session (and its memo/pool/cache/engine) publishes goes through
+        the session (and its pool/cache/engine) publishes goes through
         ``metrics.labeled(model=name)`` — two sessions sharing one registry
-        then scrape as ``memo_hits_total{model="a"}`` vs ``{model="b"}``
+        then scrape as ``pool_hit_total{model="a"}`` vs ``{model="b"}``
         instead of conflating into one unlabeled series (and stacking
         ``on_collect`` gauges where the last writer wins).  Unnamed
         sessions keep the legacy unlabeled series.
@@ -80,13 +77,6 @@ class EngineSession:
         Staleness budget forwarded to the cache: a reused block is admitted
         while its assignment distance / residue density stay within
         ``baseline * (1 + tolerance)``.
-    revise_ratio:
-        Enable the memo's measure-and-revise loop: when a strategy bucket's
-        observed cost EWMA drifts past ``baseline * revise_ratio``, the
-        memoized choice is dropped and the champion tournament (or the baked
-        plan's layer decision) re-runs.  ``None`` (default) keeps the legacy
-        replay-first-decision behavior; costs are still recorded either way
-        so :meth:`save_warm_state` persists the baselines.
     """
 
     def __init__(
@@ -96,12 +86,10 @@ class EngineSession:
         kind: str = "snicit",
         device: VirtualDevice | None = None,
         warm: bool = True,
-        memo_buckets: int = 16,
         tracer=None,
         metrics: MetricsRegistry | None = None,
         centroid_reuse: bool = False,
         reuse_tolerance: float = 0.5,
-        revise_ratio: float | None = None,
         name: str | None = None,
     ):
         self.network = network
@@ -113,9 +101,6 @@ class EngineSession:
         #: the session's metric surface: a per-tenant labeled view when
         #: named, the raw registry otherwise (legacy unlabeled series)
         self.scoped = self.metrics.labeled(model=name) if name is not None else self.metrics
-        self.memo = StrategyMemo(
-            memo_buckets, revise_ratio=revise_ratio
-        ).bind_metrics(self.scoped)
         self.scratch = BufferPool().bind_metrics(self.scoped)
         self.reuse = (
             CentroidCache(tolerance=reuse_tolerance).bind_metrics(self.scoped)
@@ -126,7 +111,6 @@ class EngineSession:
             kind,
             network,
             snicit_config=config,
-            memo=self.memo,
             scratch=self.scratch,
             tracer=self.tracer,
             metrics=self.scoped,
@@ -153,8 +137,9 @@ class EngineSession:
         #: per-stage counters, resolved once per stage name instead of a
         #: labelled registry lookup on every call
         self._stage_counters: dict[str, object] = {}
-        #: baked per-layer strategy plan (SNICIT engines, set by warmup)
-        self.plan = None
+        #: the engine's per-layer strategy plan (SNICIT engines; baked at
+        #: engine construction, kept for the session's whole life)
+        self.plan = getattr(self.engine, "plan", None)
         #: True while the session holds warm state (views pinned / warmup run)
         self.warmed = False
         #: how the warm state was obtained: 'baked' (warmup ran here),
@@ -190,24 +175,20 @@ class EngineSession:
 
     # ------------------------------------------------------------ lifecycle
     def warmup(self) -> float:
-        """Bake the per-layer strategy plan and pin its weight views.
+        """Pin the weight views the engine runs from.
 
-        For SNICIT engines the session bakes a
-        :class:`~repro.core.plan.StrategyPlan` — each layer's kernel
-        strategy and sparse format decided once, views pinned, metric
-        counters pre-resolved — and hands it to the engine, so the per-block
-        spMM path is a table lookup instead of a memo consult.  Other engine
-        kinds keep the view-pinning half (build ELL/dense eagerly rather
-        than charging the first request for the lazy conversion).
+        For SNICIT engines these are exactly the views the engine's
+        :class:`~repro.core.plan.StrategyPlan` uses (dense for colwise
+        layers, ELL for ELL-format dynamic layers); the plan itself was
+        decided at engine construction and is untouched.  Other engine kinds
+        build ELL/dense eagerly rather than charging the first request for
+        the lazy conversion.
         """
         t0 = time.perf_counter()
         net = self.network
         with self.tracer.span("session.warmup", cat="serve", network=net.name):
-            if self.kind == "snicit":
-                self.plan = bake_plan(net, metrics=self.scoped)
-                if self.memo.revise_ratio is not None:
-                    self.plan.enable_revision(self.memo)
-                self.engine.plan = self.plan
+            if self.plan is not None:
+                self.plan.pin_views(net)
             else:
                 for i, layer in enumerate(net.layers):
                     if layer.weight.density >= DENSE_WEIGHT_THRESHOLD:
@@ -223,7 +204,7 @@ class EngineSession:
         """Persist this session's warm state as a fingerprint-keyed artifact.
 
         See :mod:`repro.core.warmstore` for the format and its invariants.
-        Returns the save manifest (size, view/memo/cache entry counts).
+        Returns the save manifest (size, view/cache entry counts).
         """
         from repro.core.warmstore import save_warm_state
 
@@ -232,12 +213,13 @@ class EngineSession:
     def load_warm_state(self, path: str) -> dict:
         """Boot warm from a saved artifact instead of running :meth:`warmup`.
 
-        Restores pinned views, the baked plan, memo choices with their cost
-        baselines, and centroid-cache fills — after verifying the artifact's
-        network fingerprint, engine kind, and format version.  The load time
-        lands on the same ``session_warmup_seconds_total`` counter a baked
-        warmup uses, so ``warmup_seconds`` stays the honest "cost to get
-        warm" number either way.  Returns the load manifest.
+        Restores pinned views and centroid-cache fills — after verifying the
+        artifact's network fingerprint, engine kind, and format version.  The
+        strategy plan is not in the artifact: the engine baked it at
+        construction, from the network alone.  The load time lands on the
+        same ``session_warmup_seconds_total`` counter :meth:`warmup` uses, so
+        ``warmup_seconds`` stays the honest "cost to get warm" number either
+        way.  Returns the load manifest.
         """
         from repro.core.warmstore import load_warm_state
 
@@ -268,21 +250,17 @@ class EngineSession:
         Drops the scratch pool, the pinned weight views, and any cached
         conversions; returns the bytes freed.  Correctness is untouched —
         pool contents are unspecified by contract, views rebuild bitwise
-        identically from the CSR source of truth, and a cold centroid cache
-        just means the next block pays a full conversion again.  The session
-        keeps serving (lazily re-warming on demand); call :meth:`warmup` to
-        re-pin eagerly.
+        identically from the CSR source of truth, the strategy plan (which
+        holds no arrays) stays, and a cold centroid cache just means the
+        next block pays a full conversion again.  The session keeps serving
+        through the same plan (lazily re-building views on demand); call
+        :meth:`warmup` to re-pin eagerly.
         """
         freed = self.scratch.clear()
         freed += self.network.drop_views()
         if self.reuse is not None and len(self.reuse):
             freed += self.reuse.nbytes
             self.reuse.invalidate(reason="evicted")
-        # drop the baked plan too: its layer table points at the released
-        # views, and a demoted session should re-decide at the next warmup
-        self.plan = None
-        if getattr(self.engine, "plan", None) is not None:
-            self.engine.plan = None
         self.warmed = False
         self.warm_source = None
         return freed
@@ -327,7 +305,6 @@ class EngineSession:
             ),
             "stage_seconds": dict(self.stage_seconds),
             "plan": self.plan.stats() if self.plan is not None else None,
-            "memo": self.memo.stats(),
             "scratch": self.scratch.stats(),
         }
         if self.reuse is not None:

@@ -6,14 +6,12 @@ import pytest
 from repro.kernels import (
     DENSE_WEIGHT_THRESHOLD,
     LIVE_ROW_THRESHOLD,
-    StrategyMemo,
     baseline_spmm,
     champion_spmm,
     charge_for,
 )
 from repro.network import LayerSpec, SparseNetwork
 from repro.sparse import CSRMatrix
-from repro.sparse.convert import preferred_spmm_format
 
 
 def make_net(rng, density, n=20):
@@ -95,60 +93,6 @@ def test_charge_for_batch_parallel_vs_colwise():
 def test_thresholds_are_sane():
     assert 0 < LIVE_ROW_THRESHOLD <= 1
     assert 0 < DENSE_WEIGHT_THRESHOLD < 0.5
-
-
-def test_strategy_memo_replays_choice(rng):
-    net, d = make_net(rng, density=0.1)
-    y = np.zeros((20, 6), dtype=np.float32)
-    y[:3] = rng.random((3, 6))  # sparse activations -> masked
-    memo = StrategyMemo(n_buckets=8)
-    z1, _, s1 = champion_spmm(net, 0, y, memo=memo)
-    assert s1 == "masked"
-    stats = memo.stats()
-    assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 0, 1)
-    z2, _, s2 = champion_spmm(net, 0, y, memo=memo)
-    assert s2 == s1 and memo.hits == 1
-    assert np.array_equal(z1, z2)
-    # same layer, very different liveness -> different bucket, fresh miss
-    dense_y = rng.random((20, 6)).astype(np.float32) + 0.1
-    _, _, s3 = champion_spmm(net, 0, dense_y, memo=memo)
-    # the batch-parallel format follows the layer's fan-in skew
-    assert s3 == preferred_spmm_format(net.layers[0].weight)
-    assert len(memo) == 2
-
-
-def test_strategy_memo_scoped_by_network(rng):
-    """A shared memo must not replay net A's champion for net B's layer 0.
-
-    Before network scoping the key was ``(layer, bucket)``: a 1 %-dense net
-    recording "masked" for layer 0 would make a same-index dense-ish layer
-    of another net replay "masked" too, even though its own derivation picks
-    "colwise".  The fingerprint in the key keeps each network's choices to
-    itself.
-    """
-    sparse_net, _ = make_net(rng, density=0.1)
-    dense_net, d = make_net(rng, density=0.6)
-    memo = StrategyMemo(n_buckets=8)
-    y = np.zeros((20, 6), dtype=np.float32)
-    y[:3] = rng.random((3, 6))
-    _, _, s_sparse = champion_spmm(sparse_net, 0, y, memo=memo)
-    assert s_sparse == "masked"
-    # same layer index, same memo: the dense net derives its own champion
-    z, _, s_dense = champion_spmm(dense_net, 0, y, memo=memo)
-    assert s_dense == "colwise"
-    assert np.allclose(z, d @ y, atol=1e-4)
-    assert len(memo) == 2  # one entry per network scope
-    # raw lookup never crosses scopes either
-    assert memo.lookup(0, 1.0, network=sparse_net) is None
-    assert memo.lookup(0, 1.0, network=dense_net) == "colwise"
-
-
-def test_strategy_memo_bucket_quantization():
-    memo = StrategyMemo(n_buckets=4)
-    assert memo.bucket(0.0) == 0
-    assert memo.bucket(0.24) == 0
-    assert memo.bucket(0.26) == 1
-    assert memo.bucket(1.0) == 3  # clamped into range
 
 
 def test_champion_out_buffer_reused(rng):

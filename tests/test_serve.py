@@ -7,6 +7,8 @@ import pytest
 
 from repro.errors import ConfigError, ServeOverflowError, ShapeError
 from repro.harness.experiments.common import sdgc_config
+from repro.core.plan import plan_layer
+from repro.kernels import LIVE_ROW_THRESHOLD
 from repro.radixnet import benchmark_input, build_benchmark
 from repro.serve import (
     EngineSession,
@@ -16,6 +18,7 @@ from repro.serve import (
     bench_serve,
     load_bench_records,
 )
+from repro.sparse.spmm import spmm_ell, spmm_masked
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +86,8 @@ def test_session_matches_cold_engine(bench):
 
 def test_session_plan_preempts_per_block_redecision(bench):
     """Regression: warm blocks used to re-derive each layer's strategy via
-    memo lookups per call (and before that, bypassed the memo entirely).
-    Warmup now bakes a per-layer plan; every warm spMM must dispatch through
-    it, leaving the memo untouched."""
+    memo lookups per call.  The engine bakes a per-layer plan at
+    construction; every spMM must dispatch through it."""
     net, cfg, y0 = bench
     session = make_session(bench)
     assert session.plan is not None
@@ -95,25 +97,78 @@ def test_session_plan_preempts_per_block_redecision(bench):
     assert first > 0
     session.run(y0)
     assert session.plan.stats()["calls"] > first
-    # the plan preempts the memo: no per-block strategy re-decision at all
-    stats = session.memo.stats()
-    assert (stats["entries"], stats["hits"], stats["misses"]) == (0, 0, 0)
     # strategy counters keep flowing through the pre-resolved plan handles
     snap = session.metrics.snapshot()
     assert any(k.startswith("spmm_strategy_total") and v > 0 for k, v in snap.items())
 
 
-def test_session_demote_drops_plan_and_rewarm_restores(bench):
-    net, cfg, y0 = bench
-    session = make_session(bench)
-    reference = session.run(y0)
-    session.demote()
-    assert session.plan is None and session.engine.plan is None
-    # a demoted session keeps serving (champion path) bitwise identically
-    assert np.array_equal(session.run(y0).y, reference.y)
-    session.warmup()
-    assert session.plan is not None
-    assert np.array_equal(session.run(y0).y, reference.y)
+def _with_live_rows(y0: np.ndarray, k: int) -> np.ndarray:
+    """``y0`` with dead input rows switched on until exactly ``k`` are live."""
+    y = np.array(y0, dtype=np.float32)
+    live = (y != 0).any(axis=1)
+    y[np.flatnonzero(~live)[: k - int(live.sum())], 0] = 1.0
+    assert int((y != 0).any(axis=1).sum()) == k
+    return y
+
+
+def _strategy_counts(session) -> dict[str, float]:
+    return {
+        labels["strategy"]: metric.value
+        for labels, metric in session.metrics.series("spmm_strategy_total")
+        if metric.value
+    }
+
+
+def test_every_boot_path_dispatches_alike():
+    """Cold, demoted and warm sessions run the same kernel on every block.
+
+    Regression: cold and demoted sessions used to dispatch through a
+    strategy memo that replayed the first decision made in a 1/16-wide
+    live-fraction bucket.  Block ``a`` leaves layer 0 just below
+    ``LIVE_ROW_THRESHOLD`` (masked kernel) and block ``b`` just above it
+    (ELL kernel), both inside the old ``[9/16, 10/16)`` bucket, so the memo
+    replayed 'masked' for ``b`` — which rounds differently from the ELL
+    kernel the warm plan runs.
+    """
+    net = build_benchmark("256-24", seed=0)
+    cfg = sdgc_config(net.num_layers)
+    cold = EngineSession(net, cfg, warm=False)
+    assert net.view_nbytes() == 0  # the engine's plan is decision only
+    n = net.input_dim
+    a = _with_live_rows(benchmark_input(net, 16, seed=1), 148)
+    b = _with_live_rows(benchmark_input(net, 16, seed=2), 157)
+    assert 9 / 16 <= 148 / n < LIVE_ROW_THRESHOLD <= 157 / n < 10 / 16
+    lp = plan_layer(net, 0)
+    assert (lp.strategy, lp.format) == ("dynamic", "ell")
+    # the two kernels really disagree in the last bits on block b
+    masked, _ = spmm_masked(net.layers[0].weight, b, (b != 0).any(axis=1))
+    assert not np.array_equal(masked, spmm_ell(net.ell(0), b))
+    stream = [a, b, b, a]
+
+    demoted = EngineSession(net, cfg)
+    demoted.demote()
+    warm = EngineSession(net, cfg)
+    sessions = {"cold": cold, "demoted": demoted, "warm": warm}
+    outputs = {
+        name: [session.run(y0).y.copy() for y0 in stream]
+        for name, session in sessions.items()
+    }
+    for name in ("cold", "demoted"):
+        for got, want in zip(outputs[name], outputs["warm"]):
+            assert np.array_equal(got, want), name
+        assert _strategy_counts(sessions[name]) == _strategy_counts(warm), name
+
+    # the plan outlives demotion: its call count never resets
+    calls = [warm.stats()["plan"]["calls"]]
+    warm.demote()
+    calls.append(warm.stats()["plan"]["calls"])
+    assert np.array_equal(warm.run(b).y, outputs["warm"][1])
+    calls.append(warm.stats()["plan"]["calls"])
+    warm.warmup()
+    calls.append(warm.stats()["plan"]["calls"])
+    assert np.array_equal(warm.run(a).y, outputs["warm"][0])
+    calls.append(warm.stats()["plan"]["calls"])
+    assert calls == sorted(calls) and calls[-1] > calls[1] > 0
 
 
 def test_session_centroid_reuse_lifecycle(bench):
@@ -357,8 +412,6 @@ def test_bench_serve_writes_machine_readable_json(tmp_path):
     plan = rec["warm"]["session"]["plan"]
     assert plan["layers"] > 0
     assert plan["calls"] > 0
-    memo = rec["warm"]["session"]["memo"]
-    assert (memo["entries"], memo["hits"], memo["misses"]) == (0, 0, 0)
     # warm-vs-cold bitwise agreement is recorded per tier (SDGC tiers may
     # legitimately differ — conversion grouping depends on the batch shape)
     assert isinstance(rec["outputs_identical"], bool)

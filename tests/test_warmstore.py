@@ -1,29 +1,25 @@
-"""Warm-state artifact lifecycle (repro.core.warmstore) + autotuner memo.
+"""Warm-state artifact lifecycle (repro.core.warmstore).
 
-Four layers of coverage:
+Three layers of coverage:
 
 * round-trip — a served-warm session saved and restored into a fresh
-  session must come back with the same views, plan, memo baselines, and
-  cache fills, and replay the exact saved outputs;
+  session must come back with the same views and cache fills, and replay
+  the exact saved outputs;
 * rejection semantics — truncated files, random bytes, a missing header
-  member, a foreign magic, and a future format version all raise
+  member, a foreign magic, and any other format version (a future one, or
+  the version-1 shape with memo and plan sections) all raise
   :class:`~repro.errors.FormatError`; an artifact saved for a *different*
   network (or engine kind) raises :class:`~repro.errors.ConfigError`; a
   missing path propagates ``FileNotFoundError`` untouched;
 * bitwise identity — the loaded / freshly-warmed / cold-engine output
   triangle is bitwise equal on both the scaled-SDGC and medium tiers,
-  including a repeated block that exercises the adopted centroid cache;
-* measure-and-revise — property-based: under any seeded cost history the
-  memo revises at most once per stable regime and then goes quiescent (no
-  thrash), and a plan-level revision mid-serve never changes outputs, only
-  the strategy counters.
+  including a repeated block that exercises the adopted centroid cache.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import SNICIT
 from repro.core.warmstore import WARMSTORE_VERSION, peek_header
@@ -32,7 +28,6 @@ from repro.harness.experiments.common import sdgc_config
 from repro.harness.experiments.table4 import medium_config
 from repro.harness.medium import get_trained
 from repro.harness.workloads import get_benchmark, get_input
-from repro.kernels import StrategyMemo
 from repro.radixnet import build_benchmark
 from repro.serve import EngineSession
 
@@ -71,7 +66,7 @@ def sdgc_state(tmp_path_factory):
     net = get_benchmark(BENCH)
     cfg = sdgc_config(net.num_layers)
     net.drop_views()
-    session = _session(net, cfg, warm=True, revise_ratio=2.0)
+    session = _session(net, cfg, warm=True)
     blocks = _blocks()
     outputs = [session.run(y0).y.copy() for y0 in blocks]
     path = str(tmp_path_factory.mktemp("warmstore") / "sdgc.npz")
@@ -84,7 +79,6 @@ def sdgc_state(tmp_path_factory):
         "manifest": manifest,
         "blocks": blocks,
         "outputs": outputs,
-        "memo_entries": session.memo.stats()["entries"],
     }
 
 
@@ -99,24 +93,18 @@ def test_unwarmed_session_refuses_to_save(tmp_path):
 def test_save_load_round_trip_restores_state(sdgc_state):
     net = sdgc_state["net"]
     net.drop_views()
-    session = _session(net, sdgc_state["cfg"], revise_ratio=2.0)
+    session = _session(net, sdgc_state["cfg"])
     assert not session.warmed
     manifest = session.load_warm_state(sdgc_state["path"])
     assert session.warmed
     assert session.warm_source == "artifact"
     saved = sdgc_state["manifest"]
-    for key in (
-        "fingerprint", "dense_views", "ell_views", "plan_layers",
-        "memo_choices", "memo_costs",
-    ):
+    for key in ("fingerprint", "dense_views", "ell_views"):
         assert manifest[key] == saved[key]
     assert manifest["cache_entries"] == saved["cache_entries"]
     assert manifest["cache_skipped"] == 0
-    # the baked plan came back whole and the memo resumed its baselines
-    assert session.plan is not None
-    assert len(session.plan.layers) == saved["plan_layers"] == net.num_layers
-    assert session.memo.stats()["entries"] == sdgc_state["memo_entries"]
-    assert session.memo.stats()["cost_entries"] == saved["memo_costs"]
+    # the engine baked its own plan; the artifact carries no decision
+    assert len(session.plan.layers) == net.num_layers
     # ...and the restored session replays the exact saved outputs
     for y0, want in zip(sdgc_state["blocks"], sdgc_state["outputs"]):
         assert np.array_equal(session.run(y0).y, want)
@@ -182,18 +170,38 @@ def test_foreign_magic_rejected(sdgc_state, tmp_path):
         peek_header(str(alien))
 
 
-def test_version_skew_refused(sdgc_state, tmp_path):
-    future = tmp_path / "future.npz"
-    _rewrite_header(
-        sdgc_state["path"], future,
-        lambda h: h.update(format_version=WARMSTORE_VERSION + 1),
+def _version_1_shape(header):
+    """The header shape version 1 wrote: strategy memo and plan sections."""
+    layers = header["network"]["layers"]
+    header.update(
+        format_version=1,
+        memo={"n_buckets": 16, "choices": [], "costs": []},
+        plan={
+            "network_fingerprint": header["network"]["fingerprint"],
+            "baked_seconds": 0.0,
+            "layers": [[i, "colwise", "dense", 0.6] for i in range(layers)],
+        },
     )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h.update(format_version=WARMSTORE_VERSION + 1),
+        _version_1_shape,
+    ],
+    ids=["future", "version-1"],
+)
+def test_version_skew_refused(sdgc_state, tmp_path, mutate):
+    skewed = tmp_path / "skewed.npz"
+    _rewrite_header(sdgc_state["path"], skewed, mutate)
     with pytest.raises(FormatError, match="version"):
-        peek_header(str(future))
+        peek_header(str(skewed))
     net = sdgc_state["net"]
     session = _session(net, sdgc_state["cfg"])
     with pytest.raises(FormatError, match="version"):
-        session.load_warm_state(str(future))
+        session.load_warm_state(str(skewed))
+    assert not session.warmed  # boot cold
     net.drop_views()
 
 
@@ -204,31 +212,31 @@ def test_missing_file_propagates_file_not_found(sdgc_state, tmp_path):
 
 
 # --------------------------------------------------------- bitwise identity
-def _assert_triangle(net, cfg, history, continuation, tmp_path, **session_kw):
+def _assert_triangle(net, cfg, history, continuation, tmp_path):
     """Cold boot, warm boot, and snapshot-resume serve bitwise identically.
 
     Two invariants at once:
 
-    * boot-path invariance — a lazily-warming session (memo path, nothing
-      pre-baked) and a freshly-warmed session (baked plan) serve the whole
+    * boot-path invariance — a lazily-warming session (no view pinned) and
+      a freshly-warmed session (views pinned) serve the whole
       ``history + continuation`` sequence bitwise identically;
     * snapshot-resume invariance — saving the warm session after
       ``history`` and loading the artifact into a new session must continue
       ``continuation`` exactly as the never-stopped session would have: the
-      artifact carries the cache/memo state forward, it never invents a
+      artifact carries the cache state forward, it never invents a
       different one.
     """
     net.drop_views()
-    lazy = _session(net, cfg, **session_kw)  # warm=False: warms on demand
+    lazy = _session(net, cfg)  # warm=False: warms on demand
     lazy_out = [lazy.run(y0).y.copy() for y0 in history + continuation]
     net.drop_views()
-    fresh = _session(net, cfg, warm=True, **session_kw)
+    fresh = _session(net, cfg, warm=True)
     fresh_out = [fresh.run(y0).y.copy() for y0 in history]
     path = str(tmp_path / "triangle.npz")
     fresh.save_warm_state(path)
     fresh_out += [fresh.run(y0).y.copy() for y0 in continuation]
     net.drop_views()
-    loaded = _session(net, cfg, **session_kw)
+    loaded = _session(net, cfg)
     loaded.load_warm_state(path)
     assert loaded.warm_source == "artifact"
     loaded_out = [loaded.run(y0).y.copy() for y0 in continuation]
@@ -244,10 +252,7 @@ def test_loaded_outputs_bitwise_identical_sdgc(tmp_path):
     a, b = _blocks(2)
     # the repeated block makes the resumed session serve from the artifact's
     # adopted centroid cache, not just recompute — that path must be bitwise
-    _assert_triangle(
-        net, sdgc_config(net.num_layers), [a, b], [a, b], tmp_path,
-        revise_ratio=2.0,
-    )
+    _assert_triangle(net, sdgc_config(net.num_layers), [a, b], [a, b], tmp_path)
 
 
 def test_loaded_outputs_bitwise_identical_medium(tmp_path):
@@ -286,102 +291,4 @@ def test_loaded_cache_hits_match_pure_engine_on_repeat_stream(tmp_path):
     stats = loaded.reuse.stats()
     assert stats["hits"] >= 1  # served from the adopted entry...
     assert stats["fills"] == 0  # ...not from a fresh conversion
-    net.drop_views()
-
-
-# --------------------------------------------------------- measure & revise
-def test_memo_revise_ratio_must_exceed_one():
-    with pytest.raises(ConfigError):
-        StrategyMemo(revise_ratio=1.0)
-    with pytest.raises(ConfigError):
-        StrategyMemo(revise_ratio=0.5)
-    assert StrategyMemo(revise_ratio=1.01).revise_ratio == 1.01
-
-
-def test_memo_export_import_round_trip():
-    memo = StrategyMemo(revise_ratio=2.0)
-    memo.record(0, 0.2, "colwise", network="netA")
-    memo.record(3, 0.9, "ell", network="netA")
-    for seconds in (0.001, 0.002, 0.001, 0.0015):
-        memo.observe(3, 0.9, "ell", seconds, network="netA")
-    clone = StrategyMemo(revise_ratio=2.0)
-    clone.import_state(memo.export_state())
-    assert clone.export_state() == memo.export_state()
-    assert clone.lookup(3, 0.9, network="netA") == "ell"
-
-
-def test_memo_import_rejects_bucket_mismatch():
-    state = StrategyMemo(n_buckets=16).export_state()
-    with pytest.raises(ConfigError, match="bucket"):
-        StrategyMemo(n_buckets=8).import_state(state)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    prefix=st.lists(
-        st.floats(1e-6, 1.0, allow_nan=False, allow_infinity=False),
-        max_size=30,
-    ),
-    stable=st.floats(1e-6, 1.0, allow_nan=False, allow_infinity=False),
-    ratio=st.floats(1.05, 4.0, allow_nan=False, allow_infinity=False),
-)
-def test_memo_measure_and_revise_converges(prefix, stable, ratio):
-    """Any cost history followed by a stable regime revises at most once.
-
-    After a drift-triggered revision the record resets, so the re-frozen
-    baseline equals the stable cost and the trigger condition
-    (``ewma > baseline * ratio`` with ``ratio > 1``) can never fire again —
-    the autotuner must not thrash, whatever the measurement history was.
-    """
-    memo = StrategyMemo(revise_ratio=ratio)
-
-    def feed(seconds):
-        revised = memo.observe(2, 0.4, "masked", seconds)
-        if revised:
-            memo.record(2, 0.4, "masked")  # the tournament re-records
-        return revised
-
-    memo.record(2, 0.4, "masked")
-    for seconds in prefix:
-        feed(seconds)
-    # 300 stable observations drive the EWMA to its float fixed point, so
-    # any drift event this regime can cause has happened by the end
-    stable_revisions = sum(feed(stable) for _ in range(300))
-    assert stable_revisions <= 1
-    before = memo.revisions
-    for _ in range(50):
-        feed(stable)
-    assert memo.revisions == before  # quiescent once costs are stable
-    assert memo.lookup(2, 0.4) == "masked"  # and the choice is intact
-
-
-def test_plan_revision_preserves_outputs():
-    """A mid-serve strategy revision moves counters, never outputs."""
-    net = get_benchmark(BENCH)
-    net.drop_views()
-    session = _session(
-        net, sdgc_config(net.num_layers), warm=True, revise_ratio=1.5
-    )
-    y0 = np.asarray(get_input(BENCH, 4, seed=3))
-    want = session.run(y0).y.copy()
-    for _ in range(session.memo.min_samples):
-        assert np.array_equal(session.run(y0).y, want)
-    # inject the cost record a suddenly-slow kernel would leave behind:
-    # a high EWMA over a tiny frozen baseline, past min_samples
-    assert session.memo._cost  # the plan's dispatches observed real costs
-    for rec in session.memo._cost.values():
-        rec[0] = float(session.memo.min_samples)
-        rec[1] = 1.0
-        rec[2] = 1e-9
-    plan_before = session.plan.revisions
-    memo_before = session.memo.revisions
-    assert np.array_equal(session.run(y0).y, want)  # revision is invisible
-    assert session.plan.revisions > plan_before
-    assert session.memo.revisions > memo_before
-    assert session.stats()["memo"]["revisions"] == session.memo.revisions
-    # the re-derived plan settles and keeps serving identically
-    settled = session.plan.revisions
-    assert np.array_equal(session.run(y0).y, want)
-    assert np.array_equal(session.run(y0).y, want)
-    assert session.plan.revisions == settled
     net.drop_views()

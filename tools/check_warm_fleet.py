@@ -7,7 +7,7 @@ worker SIGKILLed mid-stream — with every worker booting from the
 ``repro warmup --save`` artifact passed in.  Asserts:
 
 * every worker incarnation (the crash victim's replacement included)
-  reports ``warm_sources == "artifact"`` — nobody silently re-baked;
+  reports ``warm_sources == "artifact"`` — nobody silently re-warmed;
 * the crash run restarted the victim and failed no request;
 * every stream's outputs are bitwise identical between the two runs —
   artifact boot plus crash replay changes nothing.
