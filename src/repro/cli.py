@@ -758,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--on-full", default="reject", choices=("reject", "block"),
-        help="async backpressure on a full intake queue: reject with "
+        help="async backpressure on a full lane queue: reject with "
              "ServeOverflowError or block the producer (default reject)",
     )
     serve_p.add_argument(

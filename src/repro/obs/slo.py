@@ -289,7 +289,7 @@ class SloTracker:
             self._publish()
 
     def record_ticket(self, ticket, model: str | None = None) -> None:
-        """Account one serving ticket (sync or async), with its exemplar.
+        """Account one resolved serving ticket, with its exemplar.
 
         The exemplar carries the ids that link back into the trace — the
         request's async span id (``aid``) and its block — plus the latency
@@ -298,18 +298,12 @@ class SloTracker:
         exemplar: dict[str, Any] = {
             "latency_seconds": ticket.latency_seconds,
             "breakdown": ticket.breakdown(),
+            "request_aid": ticket.aid,
         }
-        aid = getattr(ticket, "aid", None)
-        if aid is None and getattr(ticket, "inner", None) is not None:
-            aid = ticket.inner.aid
-        if aid is not None:
-            exemplar["request_aid"] = aid
         if model is not None:
             exemplar["model"] = model
         if ticket.failed:
-            exemplar["error"] = type(ticket.error).__name__ if getattr(
-                ticket, "error", None
-            ) is not None else type(ticket.exception).__name__
+            exemplar["error"] = type(ticket.error).__name__
         self.record(
             ticket.latency_seconds,
             columns=ticket.columns,

@@ -19,10 +19,12 @@ This package keeps one engine warm and feeds it well-packed blocks:
   sessions warm-to-cold when the combined retained footprint exceeds it.
   :class:`~repro.serve.router.Router` flushes blocks on the caller's
   thread; :class:`~repro.serve.router.AsyncRouter` is the threaded
-  transport — thread-safe ``submit`` returning a future-like
-  :class:`~repro.serve.router.AsyncTicket`, one consumer worker that packs
-  and executes blocks while new arrivals accumulate, reject/block
-  backpressure per lane, and drain/abort shutdown.  Both report a stream as
+  transport — thread-safe ``submit`` straight into the lane's batcher,
+  one consumer worker that packs and executes blocks while new arrivals
+  accumulate, reject/block backpressure per lane, and drain/abort
+  shutdown.  On both, a request's handle is the batcher's
+  :class:`~repro.serve.batcher.Ticket` (``wait()`` / ``.y`` / ``.error``),
+  timed from submit.  Both report a stream as
   a :class:`~repro.serve.router.RouterReport` of per-tenant
   :class:`~repro.serve.router.ServeReport`\\ s;
 * :class:`~repro.serve.fleet.FleetDispatcher` — multi-process scale-out:
@@ -90,7 +92,6 @@ from repro.serve.qos import (
 from repro.serve.router import (
     BACKPRESSURE_POLICIES,
     AsyncRouter,
-    AsyncTicket,
     ModelRegistry,
     Router,
     RouterReport,
@@ -107,7 +108,6 @@ __all__ = [
     "MicroBatcher",
     "Ticket",
     "ServeReport",
-    "AsyncTicket",
     "BACKPRESSURE_POLICIES",
     "FleetDispatcher",
     "FleetReport",

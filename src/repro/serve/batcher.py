@@ -7,12 +7,17 @@ queues incoming requests, packs them into blocks of at most ``max_batch``
 columns, runs each block through a warm :class:`~repro.serve.session.
 EngineSession`, and splits the output back per request.
 
-The batcher is synchronous and explicitly clocked: ``submit`` flushes as
-soon as a full block is pending, ``poll`` flushes when the oldest request
-has waited ``max_wait_s`` (callers drive it from their loop), and ``drain``
-flushes everything.  The pending queue is bounded: past ``max_pending``
-requests, ``submit`` raises :class:`~repro.errors.ServeOverflowError` —
-rejected with an error, never dropped silently.
+The batcher is explicitly clocked: ``submit`` flushes as soon as a full
+block is pending, ``poll`` flushes when the oldest request has waited
+``max_wait_s`` (callers drive it from their loop), and ``drain`` flushes
+everything.  The pending queue is bounded: past ``max_pending`` requests,
+``submit`` raises :class:`~repro.errors.ServeOverflowError` — rejected with
+an error, never dropped silently.  The queue is the lane's only queue on
+both router transports: producers may :meth:`~MicroBatcher.enqueue` from
+any thread while one thread flushes, because the pending deque, its column
+count and its gauges change only under the batcher's lock (the engine runs
+outside it).  A :class:`Ticket` is the only in-process request handle; it
+resolves exactly once and can be waited on from another thread.
 
 Packing is strictly FIFO: a block takes the longest *prefix* of the queue
 that fits in ``max_batch`` columns, never skipping ahead to a narrower
@@ -26,24 +31,40 @@ and the columns left empty, per tenant.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 
 import numpy as np
 
-from repro.errors import ServeOverflowError, ShapeError
+from repro.errors import ServeClosedError, ServeOverflowError, ShapeError
 from repro.inference import InferenceResult, sdgc_categories
 from repro.serve.session import EngineSession
 
-__all__ = ["MicroBatcher", "Ticket"]
+__all__ = ["MicroBatcher", "Ticket", "validate_request"]
+
+
+def validate_request(session: EngineSession, y0) -> np.ndarray:
+    """``y0`` as ``session`` takes it: ``(input_dim, k)`` with ``k >= 1``."""
+    y0 = session.network.validate_input(np.asarray(y0))
+    if y0.shape[1] < 1:
+        raise ShapeError("a request needs at least one column")
+    return y0
 
 
 class Ticket:
-    """Handle for one submitted request; resolves when its batch runs."""
+    """Handle for one submitted request; resolves exactly once.
+
+    It resolves with its slice of the block output, with the exception that
+    killed its block, or with :class:`~repro.errors.ServeClosedError` when
+    an async router aborts before the request ran.  :meth:`wait` blocks
+    another thread until then.
+    """
 
     __slots__ = (
         "y0", "submitted_at", "completed_at", "batch_columns", "result", "_y", "aid",
         "error", "packed_at", "block_id", "execute_seconds", "stage_seconds",
+        "_done", "_resolutions",
     )
 
     def __init__(self, y0: np.ndarray, submitted_at: float, aid: int = 0):
@@ -67,31 +88,40 @@ class Ticket:
         self.execute_seconds: float | None = None
         #: the block's per-pipeline-stage seconds (shared across its tickets)
         self.stage_seconds: dict | None = None
+        self._done = threading.Event()
+        #: times this ticket was resolved (the invariant is exactly once)
+        self._resolutions = 0
 
     @property
     def columns(self) -> int:
         return self.y0.shape[1]
 
     @property
+    def done(self) -> bool:
+        """Resolved either way: output available or the request failed."""
+        return self._done.is_set()
+
+    @property
     def ready(self) -> bool:
-        return self._y is not None
+        return self.done and self.error is None
 
     @property
     def failed(self) -> bool:
         return self.error is not None
 
-    @property
-    def done(self) -> bool:
-        """Resolved either way: output available or block execution failed."""
-        return self.ready or self.failed
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until resolved (or ``timeout`` seconds); True when done."""
+        return self._done.wait(timeout)
 
     @property
     def y(self) -> np.ndarray:
         """This request's slice of the block output ``Y(l)``."""
         if self.error is not None:
             raise self.error
-        if self._y is None:
-            raise ServeOverflowError("ticket not resolved yet; flush or drain the batcher")
+        if not self.done:
+            raise ServeOverflowError(
+                "ticket not resolved yet; flush or drain the batcher, or wait() on it"
+            )
         return self._y
 
     @property
@@ -107,15 +137,12 @@ class Ticket:
     def breakdown(self) -> dict:
         """Where this request's latency went (tail-latency attribution).
 
-        ``queue_wait_seconds`` is zero for the synchronous batcher — there
-        is no intake queue in front of it; the async transport overrides it
-        with the ticket's intake wait.  ``batch_wait_seconds`` is the time
-        spent pending before a block packed it (the head-of-line component),
-        ``execute_seconds`` the block's engine time, and ``stage_seconds``
+        ``batch_wait_seconds`` is the time from submit until a block packed
+        the request — every queueing delay, on either transport.
+        ``execute_seconds`` is the block's engine time, and ``stage_seconds``
         splits that by pipeline stage.
         """
         out: dict = {
-            "queue_wait_seconds": 0.0,
             "batch_wait_seconds": (
                 self.packed_at - self.submitted_at
                 if self.packed_at is not None else None
@@ -128,9 +155,23 @@ class Ticket:
             out["stage_seconds"] = dict(self.stage_seconds)
         return out
 
+    def _resolve(self, now: float, error: BaseException | None = None) -> None:
+        """Record the outcome; must fire exactly once per ticket.
+
+        Waiters wake later, once the batcher has published the block's
+        telemetry (:meth:`MicroBatcher._settle`).
+        """
+        self._resolutions += 1
+        if self._resolutions > 1:  # pragma: no cover - guarded invariant
+            raise ServeClosedError(
+                f"request {self.aid} resolved {self._resolutions} times"
+            )
+        self.error = error
+        self.completed_at = now
+
 
 class MicroBatcher:
-    """Bounded synchronous request packer in front of an engine session."""
+    """Bounded request packer in front of an engine session."""
 
     def __init__(
         self,
@@ -153,6 +194,8 @@ class MicroBatcher:
         self.clock = clock
         self._pending: deque[Ticket] = deque()
         self._pending_cols = 0
+        #: guards the pending deque, its column count and the queue gauges
+        self._lock = threading.Lock()
         self._next_aid = 0
         self.counters = {
             "requests": 0,
@@ -190,11 +233,13 @@ class MicroBatcher:
         self._c_batched_columns = metrics.counter(
             "serve_batched_columns_total", help="columns packed into flushed blocks"
         )
+        # a tenant's stream lanes share these two series, so every lane
+        # moves them by inc/dec and the sum stays right
         self._g_queue_depth = metrics.gauge(
-            "serve_queue_depth", help="requests currently pending in the batcher"
+            "serve_queue_depth", help="requests currently pending in the tenant's lanes"
         )
         self._g_queue_columns = metrics.gauge(
-            "serve_queue_columns", help="columns currently pending in the batcher"
+            "serve_queue_columns", help="columns currently pending in the tenant's lanes"
         )
         self._c_hol_stalls = metrics.counter(
             "serve_hol_stalls_total",
@@ -211,12 +256,6 @@ class MicroBatcher:
         )
         self._fill_buckets = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
         self._metrics = metrics
-        # per-flush handles, resolved once per label value instead of a
-        # registry lookup on every block
-        self._h_queue_wait = metrics.histogram(
-            "serve_queue_wait_seconds",
-            help="submit-to-resolve wait per request",
-        )
         # streaming tail view: per-request latency over the last minute, so
         # a scrape reads "p99 right now" instead of a lifetime histogram
         self._w_latency = metrics.window(
@@ -230,7 +269,7 @@ class MicroBatcher:
         #: observability must never take the serving path down.
         self.on_resolve = None
 
-    # -------------------------------------------------------------- intake
+    # --------------------------------------------------------------- queue
     @property
     def pending_requests(self) -> int:
         return len(self._pending)
@@ -246,34 +285,32 @@ class MicroBatcher:
         queue is full — the caller decides whether to retry, shed load, or
         surface the error to the client.
         """
-        ticket = self.enqueue(y0)
+        ticket = self.enqueue(validate_request(self.session, y0))
         self.flush_full()
         return ticket
 
     def enqueue(self, y0: np.ndarray) -> Ticket:
-        """:meth:`submit` minus the flush: queue the request, never run it.
+        """:meth:`submit` minus validation and flush: queue, never run.
 
-        The async transport uses this to hold the ticket *before* any block
-        executes, so a mid-block exception can still be routed to exactly
-        the requests that rode in the failing block.
+        ``y0`` must already have passed :func:`validate_request`.  Safe from
+        any thread; the ticket's clock (``max_wait_s``, latency) starts here.
         """
-        y0 = self.session.network.validate_input(np.asarray(y0))
-        if y0.shape[1] < 1:
-            raise ShapeError("a request needs at least one column")
-        if len(self._pending) >= self.max_pending:
-            self.counters["rejected"] += 1
-            self._c_rejected.inc()
-            raise ServeOverflowError(
-                f"pending queue full ({self.max_pending} requests); request rejected"
-            )
-        self._next_aid += 1
-        ticket = Ticket(y0, self.clock(), aid=self._next_aid)
-        self._pending.append(ticket)
-        self._pending_cols += ticket.columns
-        self.counters["requests"] += 1
-        self._c_requests.inc()
+        with self._lock:
+            if len(self._pending) >= self.max_pending:
+                self.counters["rejected"] += 1
+                self._c_rejected.inc()
+                raise ServeOverflowError(
+                    f"pending queue full ({self.max_pending} requests); request rejected"
+                )
+            self._next_aid += 1
+            ticket = Ticket(y0, self.clock(), aid=self._next_aid)
+            self._pending.append(ticket)
+            self._pending_cols += ticket.columns
+            self.counters["requests"] += 1
+            self._c_requests.inc()
+            self._g_queue_depth.inc()
+            self._g_queue_columns.inc(ticket.columns)
         self.tracer.begin_async("request", ticket.aid, columns=ticket.columns)
-        self._update_queue_gauges()
         return ticket
 
     # ------------------------------------------------------------ flushing
@@ -284,6 +321,7 @@ class MicroBatcher:
             self._flush_batch(reason="full")
             n += 1
         return n
+
     def flush_one(self, reason: str = "full") -> int:
         """Run exactly one block; returns the columns it carried (0 if idle).
 
@@ -296,9 +334,7 @@ class MicroBatcher:
             return 0
         if reason == "wait":
             self.counters["wait_flushes"] += 1
-        before = self._pending_cols
-        self._flush_batch(reason=reason)
-        return before - self._pending_cols
+        return self._flush_batch(reason=reason)
 
     def seconds_until_due(self) -> float | None:
         """Seconds until the oldest pending request ages past ``max_wait_s``.
@@ -307,9 +343,11 @@ class MicroBatcher:
         would flush.  The async worker sleeps at most this long between
         arrivals so the max-wait deadline holds without busy-polling.
         """
-        if not self._pending:
-            return None
-        return self.max_wait_s - (self.clock() - self._pending[0].submitted_at)
+        with self._lock:
+            if not self._pending:
+                return None
+            head = self._pending[0].submitted_at
+        return self.max_wait_s - (self.clock() - head)
 
     def poll(self) -> int:
         """Flush everything once the oldest request has waited long enough.
@@ -317,9 +355,8 @@ class MicroBatcher:
         Returns the number of blocks run.  Callers embed this in their
         serving loop; with a fake clock it is the max-wait unit test hook.
         """
-        if not self._pending:
-            return 0
-        if self.clock() - self._pending[0].submitted_at < self.max_wait_s:
+        due = self.seconds_until_due()
+        if due is None or due > 0:
             return 0
         self.counters["wait_flushes"] += 1
         return self._drain(reason="wait")
@@ -335,14 +372,15 @@ class MicroBatcher:
             n += 1
         return n
 
-    def _flush_batch(self, reason: str = "full") -> None:
+    def _flush_batch(self, reason: str = "full") -> int:
         """Pack and run one block of at most ``max_batch`` columns.
 
-        Always takes at least one request, so a single request wider than
-        ``max_batch`` still runs (alone, as its own block).  ``reason`` is
-        why the block flushed ('full', 'wait', or 'drain') and labels the
-        occupancy histogram — a fleet of 'wait' flushes at low fill means
-        the batcher is starved, 'full' at fill 1.0 means it is saturated.
+        Returns the columns it carried.  Always takes at least one request,
+        so a single request wider than ``max_batch`` still runs (alone, as
+        its own block).  ``reason`` is why the block flushed ('full',
+        'wait', or 'drain') and labels the occupancy histogram — a fleet of
+        'wait' flushes at low fill means the batcher is starved, 'full' at
+        fill 1.0 means it is saturated.
 
         Packing takes the FIFO *prefix* that fits and stops at the first
         request that does not — it never searches past the head for a
@@ -356,25 +394,25 @@ class MicroBatcher:
         with tracer.span(
             "batch.pack", cat="serve", reason=reason, block_id=block_id
         ) as pack_span:
-            take: list[Ticket] = [self._pending.popleft()]
-            cols = take[0].columns
-            while self._pending and cols + self._pending[0].columns <= self.max_batch:
-                ticket = self._pending.popleft()
-                take.append(ticket)
-                cols += ticket.columns
-            self._pending_cols -= cols
+            with self._lock:
+                take: list[Ticket] = [self._pending.popleft()]
+                cols = take[0].columns
+                while self._pending and cols + self._pending[0].columns <= self.max_batch:
+                    ticket = self._pending.popleft()
+                    take.append(ticket)
+                    cols += ticket.columns
+                self._pending_cols -= cols
+                self._g_queue_depth.dec(len(take))
+                self._g_queue_columns.dec(cols)
+                queued = bool(self._pending)
             packed_at = self.clock()
             for ticket in take:
                 ticket.packed_at = packed_at
                 ticket.block_id = block_id
             underfill = self.max_batch - cols
-            if (
-                self._pending
-                and underfill > 0
-                and cols + self._pending[0].columns > self.max_batch
-            ):
-                # under-filled with work still queued AND the head refused
-                # to fit: that — and only that — is a head-of-line stall.
+            if queued and underfill > 0:
+                # under-filled with work still queued: the head refused to
+                # fit, and that — and only that — is a head-of-line stall.
                 # An under-filled deadline flush with an empty queue is the
                 # head arriving late, not FIFO refusing anyone.
                 self.counters["hol_stalls"] += 1
@@ -382,7 +420,7 @@ class MicroBatcher:
                 self._c_hol_stalls.inc()
                 self._c_hol_underfill.inc(underfill)
                 pack_span.set(hol_underfill=underfill)
-            elif reason == "wait" and underfill > 0 and not self._pending:
+            elif reason == "wait" and underfill > 0:
                 # latency-flush underfill: the timer fired before traffic
                 # filled the block — tracked separately so sparse traffic
                 # does not inflate serve_hol_stalls_total
@@ -404,18 +442,9 @@ class MicroBatcher:
                 # route the failure to exactly these tickets and leave the
                 # batcher serviceable for the next block
                 execute_seconds = time.perf_counter() - exec_t0
-                now = self.clock()
                 for ticket in take:
-                    ticket.error = exc
-                    ticket.completed_at = now
                     ticket.execute_seconds = execute_seconds
-                    tracer.end_async(
-                        "request", ticket.aid, error=type(exc).__name__, reason=reason
-                    )
-                self.counters["failed"] += len(take)
-                self._c_failed.inc(len(take))
-                self._notify_resolved(take)
-                self._update_queue_gauges()
+                self._fail(take, exc, reason=reason)
                 raise
             execute_seconds = time.perf_counter() - exec_t0
             reuse_info = result.stats.get("centroid_reuse") if result.stats else None
@@ -439,9 +468,9 @@ class MicroBatcher:
                 ticket._y = result.y[:, lo:hi]
                 ticket.result = result
                 ticket.batch_columns = cols
-                ticket.completed_at = now
                 ticket.execute_seconds = execute_seconds
                 ticket.stage_seconds = result.stage_seconds
+                ticket._resolve(now)
                 tracer.end_async(
                     "request", ticket.aid, batch_columns=cols, reason=reason
                 )
@@ -459,7 +488,6 @@ class MicroBatcher:
                 reason=reason,
             )
         fill_hist.observe(cols / self.max_batch)
-        self._h_queue_wait.observe(now - take[0].submitted_at)
         for ticket in take:
             self._w_latency.observe(
                 ticket.latency_seconds,
@@ -471,22 +499,50 @@ class MicroBatcher:
                     "breakdown": ticket.breakdown(),
                 },
             )
-        self._notify_resolved(take)
-        self._update_queue_gauges()
+        self._settle(take)
+        return cols
 
-    def _notify_resolved(self, tickets: list[Ticket]) -> None:
-        """Hand resolved tickets to the subscriber (SLO tracker), guarded."""
-        if self.on_resolve is None:
-            return
+    def fail_pending(self, error: BaseException) -> int:
+        """Resolve every pending request with ``error``; returns how many.
+
+        The async router's abort: requests that never reached a block fail,
+        counted in ``serve_failed_total`` like a failed block, instead of
+        hanging.
+        """
+        with self._lock:
+            take = list(self._pending)
+            self._pending.clear()
+            self._g_queue_depth.dec(len(take))
+            self._g_queue_columns.dec(self._pending_cols)
+            self._pending_cols = 0
+        self._fail(take, error, reason="abort")
+        return len(take)
+
+    def _fail(self, tickets: list[Ticket], error: BaseException, reason: str) -> None:
+        now = self.clock()
         for ticket in tickets:
-            try:
-                self.on_resolve(ticket)
-            except Exception:  # pragma: no cover - observability must not break serving
-                pass
+            ticket._resolve(now, error=error)
+            self.tracer.end_async(
+                "request", ticket.aid, error=type(error).__name__, reason=reason
+            )
+        self.counters["failed"] += len(tickets)
+        self._c_failed.inc(len(tickets))
+        self._settle(tickets)
 
-    def _update_queue_gauges(self) -> None:
-        self._g_queue_depth.set(len(self._pending))
-        self._g_queue_columns.set(self._pending_cols)
+    def _settle(self, tickets: list[Ticket]) -> None:
+        """Hand resolved tickets to the SLO hook (guarded), then wake waiters.
+
+        Waking last means a thread that saw ``wait()`` return also sees the
+        block's counters, window sample and SLO record.
+        """
+        if self.on_resolve is not None:
+            for ticket in tickets:
+                try:
+                    self.on_resolve(ticket)
+                except Exception:  # pragma: no cover - observability must not break serving
+                    pass
+        for ticket in tickets:
+            ticket._done.set()
 
     # ------------------------------------------------------------- metrics
     def stats(self) -> dict:

@@ -91,6 +91,11 @@ __all__ = [
 ]
 
 
+#: worker processes always start fresh: :func:`_worker_main` rebuilds every
+#: tenant from its spec, so no half-initialized fork state is inherited
+_START_METHOD = "spawn"
+
+
 class WorkerCrashError(ReproError, RuntimeError):
     """A fleet worker died and exhausted its restart budget."""
 
@@ -160,11 +165,12 @@ class TenantSpec:
 class FleetTicket:
     """Future-like handle for one fleet request, resolved by the collector.
 
-    Mirrors :class:`~repro.serve.router.AsyncTicket`'s surface where
-    it can: ``done`` / ``ready`` / ``failed`` / ``wait`` / ``result`` / ``y``
-    / ``categories``.  The payload crossed a process boundary, so ``y`` is a
-    dispatcher-side copy and the worker-side latency breakdown arrives as a
-    plain dict under :attr:`info`.
+    Mirrors the in-process :class:`~repro.serve.batcher.Ticket`'s surface
+    where it can: ``done`` / ``ready`` / ``failed`` / ``wait`` / ``y`` /
+    ``categories``, plus a blocking ``result(timeout)``.  The payload
+    crossed a process boundary, so ``y`` is a dispatcher-side copy, ``error``
+    is the message string, and the worker-side latency breakdown arrives as
+    a plain dict under :attr:`info`.
     """
 
     __slots__ = (
@@ -232,7 +238,7 @@ class FleetTicket:
 
     @property
     def categories(self) -> np.ndarray:
-        self.y  # raise on unresolved/failed, same contract as AsyncTicket
+        self.y  # raise on unresolved/failed, same contract as Ticket
         return self._categories
 
     @property
@@ -334,7 +340,7 @@ def _worker_run(worker_id, incarnation, specs, options, task_q, result_q,
         "warm_sources": warm_sources,
     }))
 
-    inflight: deque = deque()  # (req_id, AsyncTicket), arrival order
+    inflight: deque = deque()  # (req_id, Ticket), arrival order
     counts = {"requests": 0, "columns": 0, "rejected": 0, "failed": 0}
     streams: set[str] = set()
     cpu0 = time.process_time()
@@ -350,7 +356,7 @@ def _worker_run(worker_id, incarnation, specs, options, task_q, result_q,
                 continue
             if ticket.failed:
                 counts["failed"] += 1
-                exc = ticket.exception
+                exc = ticket.error
                 result_q.put(("failed", incarnation, req_id,
                               f"{type(exc).__name__}: {exc}"))
             else:
@@ -362,9 +368,7 @@ def _worker_run(worker_id, incarnation, specs, options, task_q, result_q,
                     "latency_seconds": ticket.latency_seconds,
                     "breakdown": ticket.breakdown(),
                     "batch_columns": ticket.batch_columns,
-                    "block_id": (
-                        ticket.inner.block_id if ticket.inner is not None else None
-                    ),
+                    "block_id": ticket.block_id,
                 }))
         inflight.clear()
         inflight.extend(still)
@@ -650,7 +654,6 @@ class FleetDispatcher:
         start_timeout: float = 120.0,
         heartbeat_timeout: float | None = None,
         max_restarts: int = 2,
-        mp_context: str = "spawn",
         policy: str = "qos",
         queue_pressure_requests: int | None = None,
         burn_threshold: float | None = None,
@@ -676,7 +679,7 @@ class FleetDispatcher:
         self.heartbeat_timeout = heartbeat_timeout
         self.max_restarts = int(max_restarts)
         self._names = set(names)
-        self._ctx = mp.get_context(mp_context)
+        self._ctx = mp.get_context(_START_METHOD)
         self._options = {
             "max_batch": int(max_batch),
             "max_wait_s": float(max_wait_s),
@@ -857,6 +860,7 @@ class FleetDispatcher:
             slot.fatal = msg[2]
 
     def _resolve(self, req_id: int, **kwargs) -> None:
+        """Resolve one ticket (first resolution wins); the lock is re-entrant."""
         with self._lock:
             ticket = self._tickets.get(req_id)
             if ticket is None:
@@ -905,7 +909,7 @@ class FleetDispatcher:
                 slot.paused = False
                 for stream in self._shard_streams(slot):
                     for req_id in self._streams[stream]:
-                        self._resolve_locked(
+                        self._resolve(
                             req_id, worker=slot.index,
                             error=(
                                 f"worker {slot.index} crashed "
@@ -943,17 +947,6 @@ class FleetDispatcher:
             slot.paused = False
             if self._draining:
                 slot.task_q.put(("drain",))
-
-    def _resolve_locked(self, req_id: int, **kwargs) -> None:
-        """_resolve body for callers already holding the lock."""
-        ticket = self._tickets.get(req_id)
-        if ticket is None:
-            return
-        if ticket._resolve(time.perf_counter(), **kwargs):
-            self._last_resolve = ticket.resolved_at
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._all_done.set()
 
     # ------------------------------------------------------ crash injection
     def kill_worker(self, index: int, sig: int = signal.SIGKILL) -> int:
@@ -1038,7 +1031,7 @@ class FleetDispatcher:
             error = "fleet aborted before this request resolved"
             for ticket in self._tickets.values():
                 if not ticket.done:
-                    self._resolve_locked(ticket.req_id, error=error)
+                    self._resolve(ticket.req_id, error=error)
             report = FleetReport(workers=self.workers)
             report.restarts = [slot.restarts for slot in self._slots]
             report.replayed = [slot.replayed for slot in self._slots]

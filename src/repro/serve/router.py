@@ -22,13 +22,15 @@ story:
   without perturbing outputs: a stream's packing depends only on its own
   request order, never on which process serves it or what its neighbors
   do.  The two routers share lanes, scheduling, admission, stats and the
-  stream report, and differ only in transport.  :class:`Router` flushes
-  blocks on the caller's thread, so a request stream and block execution
-  take turns.  :class:`AsyncRouter` splits them across threads —
-  producers enqueue from any thread into bounded per-lane intake queues
-  and get an :class:`AsyncTicket` back at once, while **one worker drains
-  all tenants**, so arrivals overlap block execution and one tenant's burst
-  rejects (or blocks) only its own lane;
+  stream report, and differ only in transport.  Either way a lane has one
+  queue — its batcher's bounded pending queue — and a request has one
+  :class:`~repro.serve.batcher.Ticket`, timed from submit.
+  :class:`Router` flushes blocks on the caller's thread, so a request
+  stream and block execution take turns.  :class:`AsyncRouter` splits them
+  across threads — producers enqueue from any thread straight into the
+  lane's batcher and get the ticket back at once, while **one worker
+  drains all tenants**, so arrivals overlap block execution and one
+  tenant's burst rejects (or blocks) only its own lane;
 * a :class:`~repro.gpu.memory.MemoryBudget` meters retained bytes across
   every tenant's warm state (scratch pool, pinned weight views, cached
   centroids).  When the sum exceeds the budget the registry demotes the
@@ -52,18 +54,16 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigError, ServeClosedError, ServeOverflowError, ShapeError
+from repro.errors import ConfigError, ServeClosedError, ServeOverflowError
 from repro.gpu.memory import MemoryBudget
-from repro.inference import sdgc_categories
 from repro.obs import MetricsRegistry
 from repro.obs.export import json_safe
 from repro.obs.slo import SloPolicy, SloTracker
-from repro.serve.batcher import MicroBatcher, Ticket
+from repro.serve.batcher import MicroBatcher, Ticket, validate_request
 from repro.serve.qos import AdmissionController, DeficitScheduler, QosPolicy
 from repro.serve.session import EngineSession
 
@@ -73,7 +73,6 @@ __all__ = [
     "AsyncRouter",
     "RouterReport",
     "ServeReport",
-    "AsyncTicket",
     "BACKPRESSURE_POLICIES",
 ]
 
@@ -82,7 +81,7 @@ __all__ = [
 #: registration-order service with no admission (the A/B control arm).
 SCHEDULER_POLICIES = ("qos", "fifo")
 
-#: what :meth:`AsyncRouter.submit` does on a full intake lane
+#: what :meth:`AsyncRouter.submit` does on a full lane
 BACKPRESSURE_POLICIES = ("reject", "block")
 
 
@@ -114,12 +113,6 @@ def _check_name(kind: str, name: str) -> str:
 def _lane_label(model: str, stream: str | None) -> str:
     """Stable display key for a lane in stats dicts."""
     return model if stream is None else f"{model}@{stream}"
-
-
-def _request_columns(y0) -> int:
-    """Column count of a raw request, before full validation."""
-    arr = np.asarray(y0)
-    return int(arr.shape[1]) if arr.ndim >= 2 else 1
 
 
 class ModelRegistry:
@@ -391,138 +384,6 @@ class ModelRegistry:
         )
 
 
-class AsyncTicket:
-    """Future-like handle for one request accepted by the async router.
-
-    Producers hold it; the worker thread resolves it exactly once — with the
-    request's output slice, with the exception that killed its block, or
-    with :class:`~repro.errors.ServeClosedError` on an aborted shutdown.
-    """
-
-    __slots__ = (
-        "y0", "index", "submitted_at", "dequeued_at", "completed_at",
-        "inner", "_error", "_done", "_resolutions",
-    )
-
-    def __init__(self, y0: np.ndarray, submitted_at: float, index: int = 0):
-        self.y0 = y0
-        #: arrival order within its lane (0-based)
-        self.index = index
-        self.submitted_at = submitted_at
-        #: when the worker pulled it off the intake queue
-        self.dequeued_at: float | None = None
-        self.completed_at: float | None = None
-        #: the batcher's inner ticket, once the worker enqueued the request
-        self.inner: Ticket | None = None
-        self._error: BaseException | None = None
-        self._done = threading.Event()
-        #: times the worker resolved this ticket (the invariant is == 1)
-        self._resolutions = 0
-
-    # ------------------------------------------------------------ producer
-    @property
-    def columns(self) -> int:
-        return self.y0.shape[1]
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    @property
-    def ready(self) -> bool:
-        return self.done and self._error is None
-
-    @property
-    def failed(self) -> bool:
-        return self._error is not None
-
-    @property
-    def exception(self) -> BaseException | None:
-        return self._error
-
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until resolved (or ``timeout`` seconds); True when done."""
-        return self._done.wait(timeout)
-
-    def result(self, timeout: float | None = None) -> np.ndarray:
-        """Block for and return this request's output slice ``Y(l)``.
-
-        Raises the block's exception if execution failed, TimeoutError if
-        the ticket is still unresolved after ``timeout`` seconds.
-        """
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"request {self.index} unresolved after {timeout}s")
-        if self._error is not None:
-            raise self._error
-        return self.inner.y
-
-    @property
-    def y(self) -> np.ndarray:
-        """Non-blocking output access (same contract as the sync Ticket)."""
-        if self._error is not None:
-            raise self._error
-        if not self.done:
-            raise ServeOverflowError(
-                "ticket not resolved yet; wait() on it or close(drain=True) the router"
-            )
-        return self.inner.y
-
-    @property
-    def categories(self) -> np.ndarray:
-        return sdgc_categories(self.y)
-
-    @property
-    def batch_columns(self) -> int | None:
-        return self.inner.batch_columns if self.inner is not None else None
-
-    @property
-    def latency_seconds(self) -> float:
-        """Submit-to-resolve wall time (includes the intake-queue wait)."""
-        if self.completed_at is None:
-            raise ServeOverflowError("ticket not resolved yet")
-        return self.completed_at - self.submitted_at
-
-    @property
-    def queue_wait_seconds(self) -> float:
-        """Time spent in the intake queue before the worker picked it up."""
-        if self.dequeued_at is None:
-            raise ServeOverflowError("ticket not dequeued yet")
-        return self.dequeued_at - self.submitted_at
-
-    @property
-    def aid(self) -> int | None:
-        """The inner ticket's async-trace span id (None before enqueue)."""
-        return self.inner.aid if self.inner is not None else None
-
-    def breakdown(self) -> dict:
-        """Latency attribution, intake wait included.
-
-        The inner :class:`~repro.serve.batcher.Ticket` knows batch wait,
-        block execute time, and per-stage seconds; this transport adds the
-        producer-side component it alone can see — ``queue_wait_seconds``,
-        the time between :meth:`AsyncRouter.submit` and the worker pulling
-        the request off the intake queue.
-        """
-        out = self.inner.breakdown() if self.inner is not None else {}
-        out["queue_wait_seconds"] = (
-            self.dequeued_at - self.submitted_at
-            if self.dequeued_at is not None else None
-        )
-        return out
-
-    # -------------------------------------------------------------- worker
-    def _resolve(self, now: float, error: BaseException | None = None) -> None:
-        """Worker-side completion; must fire exactly once per ticket."""
-        self._resolutions += 1
-        if self._resolutions > 1:  # pragma: no cover - guarded invariant
-            raise ServeClosedError(
-                f"ticket {self.index} resolved {self._resolutions} times"
-            )
-        self._error = error
-        self.completed_at = now
-        self._done.set()
-
-
 @dataclass
 class ServeReport:
     """Outcome of one tenant's request stream through a router.
@@ -745,38 +606,6 @@ class _Lane:
         self.batcher = batcher
         self.exec_seconds = 0.0
 
-    def queued(self) -> int:
-        """Requests waiting in this lane (admission pressure signal)."""
-        return self.batcher.pending_requests
-
-
-class _AsyncLane(_Lane):
-    """A lane plus the async router's bounded intake queue.
-
-    Intake outcomes count into the tenant's own batcher series, so
-    ``serve_requests_total + serve_rejected_total`` covers a stream on
-    either transport.
-    """
-
-    __slots__ = ("intake", "inflight", "accepted", "c_rejected", "c_failed", "g_intake")
-
-    def __init__(self, model: str, stream: str | None, batcher: MicroBatcher):
-        super().__init__(model, stream, batcher)
-        self.intake: deque[AsyncTicket] = deque()
-        self.inflight: deque[AsyncTicket] = deque()
-        self.accepted = 0
-        session = batcher.session
-        metrics = getattr(session, "scoped", None) or session.metrics
-        self.c_rejected = metrics.counter("serve_rejected_total")
-        self.c_failed = metrics.counter("serve_failed_total")
-        # shared by the tenant's stream lanes, so it moves by inc/dec
-        self.g_intake = metrics.gauge(
-            "async_intake_depth", help="requests waiting in the tenant's intake lanes"
-        )
-
-    def queued(self) -> int:
-        return len(self.intake) + self.batcher.pending_requests
-
 
 class _RouterCore:
     """Lanes, lane scheduling, admission, stats and the stream report.
@@ -819,8 +648,6 @@ class _RouterCore:
         )
         #: seconds spent packing and executing blocks, all lanes
         self.exec_seconds = 0.0
-        #: per-lane batcher queue bound
-        self._pending_cap = self.queue_limit
         self._lanes: dict[tuple[str, str | None], _Lane] = {}
         self._lock = threading.Lock()
 
@@ -848,10 +675,22 @@ class _RouterCore:
                 self.registry.get(model),
                 max_batch=self.max_batch,
                 max_wait_s=self.max_wait_s,
-                max_pending=self._pending_cap,
+                max_pending=self.queue_limit,
                 clock=self.clock,
             )
-            lane = self._lanes[key] = self._new_lane(model, stream, batcher)
+
+            # the tracker is looked up per resolution, not captured: a
+            # policy set (or replaced) after the lane exists still applies.
+            # The hook holds the registry, not the router, so the lane's
+            # batcher and the router form no reference cycle and a dropped
+            # router frees its tenants' warm state at once.
+            def feed_slo(ticket, model=model, registry=self.registry):
+                tracker = registry.slo_tracker(model)
+                if tracker is not None:
+                    tracker.record_ticket(ticket, model=model)
+
+            batcher.on_resolve = feed_slo
+            lane = self._lanes[key] = _Lane(model, stream, batcher)
             qos = self.registry.qos_policy(model)
             self.scheduler.register(
                 key, qos.rank, qos.weight, label=_lane_label(model, stream)
@@ -860,12 +699,19 @@ class _RouterCore:
                 self.admission.register(model, qos)
         return lane
 
-    def _new_lane(self, model: str, stream: str | None, batcher: MicroBatcher) -> _Lane:
-        raise NotImplementedError
-
     def pending_requests(self) -> int:
         """Requests queued across every lane (admission pressure signal)."""
-        return sum(lane.queued() for lane in list(self._lanes.values()))
+        return sum(lane.batcher.pending_requests for lane in list(self._lanes.values()))
+
+    def _enqueue(self, lane: _Lane, y0: np.ndarray) -> Ticket:
+        """Queue a validated, admitted request on ``lane``; a full lane raises."""
+        try:
+            return lane.batcher.enqueue(y0)
+        except ServeOverflowError:
+            raise ServeOverflowError(
+                f"lane {_lane_label(lane.model, lane.stream)!r} full "
+                f"({self.queue_limit} requests); request rejected"
+            ) from None
 
     def _admit(self, model: str, columns: int) -> None:
         """Admission control under ``policy='qos'``; raises on a shed."""
@@ -969,7 +815,7 @@ class _RouterCore:
         report.wall_seconds = time.perf_counter() - t0
         for per, index, ticket in tickets:
             if ticket.failed:
-                per.failed.append((index, str(ticket.exception)))
+                per.failed.append((index, str(ticket.error)))
             else:
                 per.served.append(ticket)
         with self._lock:
@@ -1028,17 +874,6 @@ class Router(_RouterCore):
     requests) rejects with :class:`~repro.errors.ServeOverflowError`.
     """
 
-    def _new_lane(self, model: str, stream: str | None, batcher: MicroBatcher) -> _Lane:
-        # the tracker is looked up per resolution, not captured: a policy
-        # set (or replaced) after the lane exists still applies
-        def feed_slo(ticket, model=model):
-            tracker = self.registry.slo_tracker(model)
-            if tracker is not None:
-                tracker.record_ticket(ticket, model=model)
-
-        batcher.on_resolve = feed_slo
-        return _Lane(model, stream, batcher)
-
     # ------------------------------------------------------------- serving
     def submit(self, model: str, y0: np.ndarray, stream: str | None = None) -> Ticket:
         """Route one request to its ``(model, stream)`` lane; may flush a block.
@@ -1047,9 +882,10 @@ class Router(_RouterCore):
         a shed raises :class:`~repro.errors.ServeShedError` (a
         :class:`~repro.errors.ServeOverflowError`) before the lane sees it.
         """
+        y0 = validate_request(self.registry.get(model), y0)
         lane = self._lane(model, stream)
-        self._admit(model, _request_columns(y0))
-        ticket = lane.batcher.enqueue(y0)
+        self._admit(model, y0.shape[1])
+        ticket = self._enqueue(lane, y0)
         self._service()
         self.registry.touch(model)
         self.registry.enforce(protect={model})
@@ -1092,20 +928,21 @@ class Router(_RouterCore):
 class AsyncRouter(_RouterCore):
     """Threaded front end: producers enqueue, one worker drains all tenants.
 
-    Producers ``submit(model, y0)`` from any thread into that tenant's own
-    bounded intake lane and get an :class:`AsyncTicket` back immediately —
-    backpressure is per lane, so one tenant's burst rejects
+    Producers ``submit(model, y0)`` from any thread straight into that
+    lane's batcher and get its :class:`~repro.serve.batcher.Ticket` back
+    immediately — backpressure is per lane, so one tenant's burst rejects
     (``on_full='reject'``) or blocks (``'block'``) only its own producers —
     while a single consumer worker services the lanes one block at a time
-    on each tenant's warm session.  New arrivals land in the intake *while*
-    a block runs, so ``max_wait_s`` is load-bearing (a partial block
-    flushes once its oldest request ages past it, even when no further
-    arrival ever comes) and the overlap fraction — worker-busy seconds over
-    wall seconds — is published as the ``async_overlap_fraction`` gauge.
+    on each tenant's warm session.  New arrivals queue *while* a block
+    runs, so ``max_wait_s`` is load-bearing: a partial block flushes once
+    its oldest request is ``max_wait_s`` old, counted from submit, even
+    when no further arrival ever comes.  The overlap fraction — worker-busy
+    seconds over wall seconds — is published as the
+    ``async_overlap_fraction`` gauge.
 
     Which lane runs next is the :class:`~repro.serve.qos.DeficitScheduler`'s
     call under ``policy='qos'`` (interactive before batch, deficit-weighted
-    within a class; new arrivals re-ingested between blocks, so an
+    within a class; candidates are rebuilt between blocks, so an
     interactive burst preempts a bulk backlog at block granularity) or
     registration order under ``'fifo'``.  Admission control (rate limits +
     batch-first pressure shedding) runs inside ``submit`` under ``'qos'``.
@@ -1134,10 +971,6 @@ class AsyncRouter(_RouterCore):
             queue_pressure_requests, burn_threshold,
         )
         self.on_full = on_full
-        # the intake lane is the serving bound; the batcher's own cap only
-        # backstops it (the worker transfers then flushes, so a batcher
-        # holds around one block's worth of requests)
-        self._pending_cap = self.queue_limit + self.max_batch + 1
         self._arrived = threading.Condition(self._lock)
         self._space = threading.Condition(self._lock)
         self._closed = False
@@ -1152,47 +985,31 @@ class AsyncRouter(_RouterCore):
         )
         self._worker.start()
 
-    def _new_lane(self, model: str, stream: str | None, batcher: MicroBatcher) -> _Lane:
-        return _AsyncLane(model, stream, batcher)
-
     # ------------------------------------------------------------- producer
-    def submit(
-        self, model: str, y0: np.ndarray, stream: str | None = None
-    ) -> AsyncTicket:
-        """Enqueue into the ``(model, stream)`` lane; returns a future ticket.
+    def submit(self, model: str, y0: np.ndarray, stream: str | None = None) -> Ticket:
+        """Enqueue into the ``(model, stream)`` lane; returns its ticket at once.
 
         Thread-safe.  Shape errors surface synchronously, before the request
-        occupies queue space.  A full *lane* (not the whole router) raises
+        occupies queue space.  A full *lane* (``queue_limit`` pending
+        requests; not the whole router) raises
         :class:`~repro.errors.ServeOverflowError` under ``'reject'`` or
         parks this producer under ``'block'`` — per-tenant (and per-stream)
         backpressure by construction.  Raises
         :class:`~repro.errors.ServeClosedError` once the router is closed,
         including producers woken from a ``'block'`` wait by shutdown.
         """
-        session = self.registry.get(model)  # unknown names fail synchronously
-        y0 = session.network.validate_input(np.asarray(y0))
-        if y0.shape[1] < 1:
-            raise ShapeError("a request needs at least one column")
+        y0 = validate_request(self.registry.get(model), y0)
         with self._lock:
             if self._closed:
                 raise ServeClosedError("router is closed; request not accepted")
             lane = self._lane(model, stream)
             self._admit(model, y0.shape[1])
-            if len(lane.intake) >= self.queue_limit:
-                if self.on_full == "reject":
-                    lane.c_rejected.inc()
-                    raise ServeOverflowError(
-                        f"lane {_lane_label(model, stream)!r} full "
-                        f"({self.queue_limit} requests); request rejected"
-                    )
-                while len(lane.intake) >= self.queue_limit and not self._closed:
+            if self.on_full == "block":
+                while lane.batcher.pending_requests >= self.queue_limit and not self._closed:
                     self._space.wait()
                 if self._closed:
                     raise ServeClosedError("router closed while waiting for lane space")
-            ticket = AsyncTicket(y0, self.clock(), index=lane.accepted)
-            lane.accepted += 1
-            lane.intake.append(ticket)
-            lane.g_intake.inc()
+            ticket = self._enqueue(lane, y0)
             self._arrived.notify()
         return ticket
 
@@ -1227,73 +1044,34 @@ class AsyncRouter(_RouterCore):
 
     # -------------------------------------------------------------- worker
     def _due(self) -> float | None:
-        """Earliest max-wait deadline across lanes (lock held)."""
+        """Seconds until some lane is runnable; None when all are idle.
+
+        Zero while a lane holds a full block, else the earliest max-wait
+        deadline (lock held).
+        """
         due = None
         for lane in self._lanes.values():
-            d = lane.batcher.seconds_until_due()
+            batcher = lane.batcher
+            if batcher.pending_columns >= batcher.max_batch:
+                return 0.0
+            d = batcher.seconds_until_due()
             if d is not None and (due is None or d < due):
                 due = d
         return due
 
-    def _grab_locked(self) -> list[tuple[_AsyncLane, list[AsyncTicket]]]:
-        """Take every lane's intake (lock held by the caller)."""
-        grabbed: list[tuple[_AsyncLane, list[AsyncTicket]]] = []
-        for lane in self._lanes.values():
-            if lane.intake:
-                items = list(lane.intake)
-                lane.intake.clear()
-                lane.g_intake.dec(len(items))
-                grabbed.append((lane, items))
-        if grabbed:
-            self._space.notify_all()
-        return grabbed
-
-    def _ingest(self, grabbed) -> None:
-        """Move grabbed tickets into their lanes' batchers (worker thread).
-
-        Enqueue-only: which blocks form is decided afterwards by the
-        scheduler, one flush at a time.  Moving every ticket before any
-        flush does not change packing — a block is always the longest FIFO
-        prefix of its own lane that fits ``max_batch``, regardless of how
-        many enqueues happened since the last flush.
-        """
-        now = self.clock()
-        for lane, items in grabbed:
-            for ticket in items:
-                ticket.dequeued_at = now
-                try:
-                    ticket.inner = lane.batcher.enqueue(ticket.y0)
-                except Exception as exc:
-                    # cannot happen for validated requests under the
-                    # sized batcher cap, but an accepted ticket must
-                    # still resolve
-                    ticket._resolve(self.clock(), error=exc)
-                    continue
-                lane.inflight.append(ticket)
-
     def _worker_loop(self) -> None:
         while True:
             with self._lock:
-                while (
-                    not any(lane.intake for lane in self._lanes.values())
-                    and not self._closed
-                ):
+                while not self._closed:
                     due = self._due()
                     if due is not None and due <= 0:
                         break
                     self._arrived.wait(timeout=due)
-                grabbed = self._grab_locked()
-                closing = self._closed and not grabbed
-                abort = self._abort
-            if abort:
-                self._abort_pending(grabbed)
-                return
-            self._ingest(grabbed)
-            # service: one block per scheduler pick, re-grabbing new
-            # arrivals between blocks so an interactive burst preempts a
-            # bulk backlog at block granularity instead of waiting out a
-            # whole registration-order sweep
-            while True:
+                closing, abort = self._closed, self._abort
+            # service: one block per scheduler pick, candidates rebuilt
+            # between blocks so an interactive burst preempts a bulk backlog
+            # at block granularity instead of waiting out a whole sweep
+            while not abort:
                 candidates, reasons = self._candidates(due=True, drain=closing)
                 if not candidates:
                     break
@@ -1304,77 +1082,33 @@ class AsyncRouter(_RouterCore):
                 if not lane.batcher.pending_requests:
                     self.scheduler.reset(key)
                 with self._lock:
-                    grabbed = self._grab_locked()
+                    self._space.notify_all()
                     abort = self._abort
-                if abort:
-                    self._abort_pending(grabbed)
-                    return
-                self._ingest(grabbed)
-            if closing:
-                with self._lock:
-                    abort = self._abort
-                if abort:
-                    self._abort_pending([])
+            if abort:
+                self._abort_pending()
+            if closing or abort:
                 return
 
-    def _run_guarded(self, lane: _AsyncLane, reason: str) -> None:
+    def _run_guarded(self, lane: _Lane, reason: str) -> None:
         """Execute one block of ``lane``, then enforce the byte budget."""
         try:
             ran = bool(self._flush(lane, reason))
         except Exception:
-            # the batcher routed the exception to the failing block's
-            # tickets before re-raising; _sweep hands it to producers
+            # the batcher resolved the failing block's tickets with the
+            # exception before re-raising; the worker keeps serving
             ran = True
-        self._sweep(lane)
         if ran:
             self.registry.touch(lane.model)
             self.registry.enforce(protect={lane.model})
-
-    def _sweep(self, lane: _AsyncLane) -> None:
-        """Resolve the lane's inflight prefix whose inner tickets are done.
-
-        Blocks always pack the FIFO prefix of the lane's pending queue, so
-        done-ness is prefix-closed over ``inflight``.
-        """
-        now = self.clock()
-        tracker = self.registry.slo_tracker(lane.model)
-        while lane.inflight and lane.inflight[0].inner.done:
-            ticket = lane.inflight.popleft()
-            ticket._resolve(now, error=ticket.inner.error)
-            # SLO accounting uses the outer ticket: its latency includes
-            # the intake wait the inner (batcher) ticket cannot see
-            if tracker is not None:
-                try:
-                    tracker.record_ticket(ticket, model=lane.model)
-                except Exception:  # pragma: no cover - obs must not kill the worker
-                    pass
         self._g_overlap.set(self.overlap_fraction)
 
-    def _abort_pending(self, grabbed) -> None:
-        """Fail everything unfinished across every lane."""
-        now = self.clock()
+    def _abort_pending(self) -> None:
+        """Fail everything still pending, on every lane."""
         error = ServeClosedError("router aborted before this request executed")
-
-        def fail(lane: _AsyncLane, tickets) -> None:
-            for ticket in tickets:
-                ticket._resolve(now, error=error)
-                lane.c_failed.inc()
-
-        for lane, items in grabbed:
-            self._sweep(lane)
-            fail(lane, items)
         with self._lock:
-            leftovers = []
-            for lane in self._lanes.values():
-                self._sweep(lane)
-                fail(lane, lane.inflight)
-                lane.inflight.clear()
-                lane.g_intake.dec(len(lane.intake))
-                leftovers.append((lane, list(lane.intake)))
-                lane.intake.clear()
-            self._space.notify_all()
-        for lane, items in leftovers:
-            fail(lane, items)
+            lanes = list(self._lanes.values())
+        for lane in lanes:
+            lane.batcher.fail_pending(error)
 
     # ------------------------------------------------------------- metrics
     @property

@@ -48,7 +48,7 @@ class FakeSession:
     """Engine-session stand-in with controllable blocking and failure.
 
     ``gate``: block executions park on it until it is set — requests then
-    pile up in the intake queue deterministically.  ``fail_on_call``: the
+    pile up in the lane queue deterministically.  ``fail_on_call``: the
     N-th ``run`` call raises, exercising mid-block exception routing.
     """
 
@@ -129,8 +129,8 @@ def test_multithreaded_submit_matches_sync_server(bench):
     assert server.close(drain=True, timeout=WAIT)
 
     assert sorted(results) == list(range(len(stream)))  # exactly the stream
-    # producers inc and the worker decs the intake gauge: no lost update
-    assert server.registry.get("m").metrics.snapshot()["async_intake_depth"] == 0
+    # producers inc and the worker decs the queue gauge: no lost update
+    assert server.registry.get("m").metrics.snapshot()["serve_queue_depth"] == 0
     for index, ticket in results.items():
         assert ticket.ready, f"request {index} unresolved"
         assert ticket.y.shape == (net.output_dim, 2)
@@ -154,7 +154,7 @@ def test_single_producer_order_preserving_packing_is_bitwise_identical(bench):
     report = serve_solo(server, stream)
     assert report.status == "ok" and not report.rejected and not report.failed
     async_y = np.hstack(
-        [t.y for t in sorted(report.served, key=lambda t: t.index)]
+        [t.y for t in sorted(report.served, key=lambda t: t.aid)]
     )
     assert np.array_equal(async_y, sync_y)
 
@@ -170,7 +170,7 @@ def test_stalled_arrival_flushes_partial_block_via_max_wait():
     assert ticket.ready
     assert np.array_equal(ticket.y, req(2) * 2.0)
     assert server.lane("m").counters["wait_flushes"] >= 1
-    assert ticket.latency_seconds >= ticket.queue_wait_seconds
+    assert ticket.latency_seconds >= ticket.breakdown()["batch_wait_seconds"]
     server.close()
 
 
@@ -179,7 +179,7 @@ def test_full_queue_rejects_under_reject_policy():
     gate = threading.Event()
     session = FakeSession(gate=gate)
     # max_batch=1: the first request flushes immediately and parks the worker
-    # on the gate; everything after fills the bounded intake queue
+    # on the gate; everything after fills the bounded lane queue
     server = solo(
         session, max_batch=1, max_wait_s=60.0, queue_limit=3, on_full="reject"
     )
@@ -251,7 +251,7 @@ def test_abort_fails_unexecuted_tickets_with_closed_error():
     tickets = [server.submit("m", req())]
     deadline = time.monotonic() + WAIT
     while session.calls == 0 and time.monotonic() < deadline:
-        time.sleep(0.001)  # worker parked inside block 1; intake empty
+        time.sleep(0.001)  # worker parked inside block 1; lane empty
     tickets += [server.submit("m", req()) for _ in range(7)]  # queue behind it
     closer = threading.Thread(target=server.close, kwargs={"drain": False})
     closer.start()
@@ -265,9 +265,10 @@ def test_abort_fails_unexecuted_tickets_with_closed_error():
     aborted = [t for t in tickets if t.failed]
     assert aborted, "abort should have cancelled the un-run remainder"
     for ticket in aborted:
-        assert isinstance(ticket.exception, ServeClosedError)
+        assert isinstance(ticket.error, ServeClosedError)
+        assert ticket.wait(1)
         with pytest.raises(ServeClosedError):
-            ticket.result(timeout=1)
+            ticket.y
     for ticket in served:  # whatever did execute still resolved normally
         assert np.array_equal(ticket.y, req() * 2.0)
     # every ticket that never ran counts as a failed request of the tenant
@@ -284,7 +285,7 @@ def test_blocked_producer_woken_by_close_raises():
     deadline = time.monotonic() + WAIT
     while session.calls == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
-    server.submit("m", req())  # fills the intake queue
+    server.submit("m", req())  # fills the lane queue
     outcome = []
 
     def blocked_producer():
@@ -318,9 +319,10 @@ def test_midblock_exception_reaches_exactly_that_block():
     assert t1.wait(WAIT) and t1.ready
     t2 = server.submit("m", req(4, fill=2.0))
     assert t2.wait(WAIT) and t2.failed  # rode the failing block
-    assert isinstance(t2.exception, RuntimeError)
+    assert isinstance(t2.error, RuntimeError)
+    assert t2.wait(1)
     with pytest.raises(RuntimeError, match="injected failure"):
-        t2.result(timeout=1)
+        t2.y
     # the server remains serviceable after the failure
     t3 = server.submit("m", req(4, fill=3.0))
     assert t3.wait(WAIT) and t3.ready
@@ -338,7 +340,7 @@ def test_midblock_exception_shared_block_fails_all_riders():
     for ticket in riders:
         assert ticket.wait(WAIT)
     assert all(t.failed for t in riders)  # both rode the failing block
-    assert {type(t.exception) for t in riders} == {RuntimeError}
+    assert {type(t.error) for t in riders} == {RuntimeError}
     # only call 1 fails; the next block must ride through untouched
     survivors = [server.submit("m", req(2)) for _ in range(2)]
     assert server.close(drain=True, timeout=WAIT)
@@ -363,13 +365,13 @@ def test_overlap_and_queue_metrics_are_recorded(bench):
     assert snap['serve_requests_total{model="m"}'] == len(stream)
     assert snap['serve_failed_total{model="m"}'] == 0
     assert snap["async_overlap_fraction"] > 0
-    assert 'async_intake_depth{model="m"}' in snap
+    assert 'serve_queue_depth{model="m"}' in snap
 
 
 def test_slo_tracker_records_the_outer_ticket(bench):
-    """A one-tenant async serve feeds its SLO tracker the outer ticket, so
-    the recorded latency includes the intake-queue wait and the exemplar's
-    breakdown names it (the batcher's inner ticket knows neither)."""
+    """A one-tenant async serve feeds its SLO tracker the ticket the
+    producer holds, so the recorded latency and the exemplar's breakdown
+    are the ones that ticket reports (its wait counted from submit)."""
     net, cfg, y0 = bench
     registry = ModelRegistry()
     registry.register("m", net, config=cfg, slo="p99<10s@60s/99%")
@@ -381,7 +383,7 @@ def test_slo_tracker_records_the_outer_ticket(bench):
     assert slo.window["sum"] == pytest.approx(ticket.latency_seconds)
     exemplar = slo.exemplar
     assert exemplar["latency_seconds"] == ticket.latency_seconds
-    assert exemplar["breakdown"]["queue_wait_seconds"] == ticket.queue_wait_seconds
+    assert exemplar["breakdown"]["batch_wait_seconds"] == ticket.breakdown()["batch_wait_seconds"]
 
 
 def test_async_router_rejects_unknown_policy_and_bad_requests():
@@ -446,11 +448,12 @@ def _run_property_stream(seed: int) -> None:
     for index, (width, ticket) in accepted.items():
         assert ticket.done, f"accepted request {index} never resolved (seed {seed})"
         assert ticket._resolutions == 1, f"double resolution (seed {seed})"
-        assert ticket.latency_seconds >= ticket.queue_wait_seconds - 1e-9
+        batch_wait = ticket.breakdown()["batch_wait_seconds"]
+        assert batch_wait is None or ticket.latency_seconds >= batch_wait - 1e-9
         if ticket.ready:
             assert np.array_equal(ticket.y, req(width, fill=float(index + 1)) * 2.0)
         else:
-            assert isinstance(ticket.exception, (RuntimeError, ServeClosedError))
+            assert isinstance(ticket.error, (RuntimeError, ServeClosedError))
     snap = session.metrics.snapshot()
     assert snap["serve_requests_total"] == len(accepted)
     assert snap["serve_rejected_total"] == len(overflowed)

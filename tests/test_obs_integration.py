@@ -176,11 +176,11 @@ def test_batcher_flush_reasons_and_fill_histogram(bench):
     assert fills["full"].count == 2
     assert fills["drain"].count == 1
     assert fills["full"].mean == pytest.approx(1.0)
-    wait = dict(
-        (tuple(labels.items()), h)
-        for labels, h in session.metrics.series("serve_queue_wait_seconds")
+    latency = dict(
+        (tuple(labels.items()), w)
+        for labels, w in session.metrics.series("serve_latency_seconds")
     )[()]
-    assert wait.count == 3
+    assert latency.count == 5  # one submit-to-resolve sample per request
 
 
 def test_pool_and_strategy_metrics_published(bench):

@@ -14,9 +14,11 @@ Three layers of coverage:
   scrape of the shared registry must keep tenants separable by label.
 """
 
+import gc
 import json
 import threading
 import time
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -278,6 +280,33 @@ def test_sync_router_routes_by_name_and_rejects_per_lane():
     for per in report.per_model.values():
         for ticket in per.served:
             assert np.array_equal(ticket.y, ticket.y0 * 2.0)
+
+
+@pytest.mark.parametrize("transport", [Router, AsyncRouter], ids=["sync", "async"])
+def test_queue_gauges_sum_a_tenants_stream_lanes(transport):
+    """A tenant's stream lanes share ``serve_queue_depth{model=}`` and
+    ``serve_queue_columns{model=}``, so the gauges read the tenant's total
+    pending work, not the last lane that moved."""
+    metrics = MetricsRegistry()
+    registry = ModelRegistry(metrics=metrics)
+    registry.register(
+        "m", session=FakeRouterSession(metrics=metrics.labeled(model="m"))
+    )
+    router = transport(registry, max_batch=1024, max_wait_s=60.0)
+    for stream, widths in (("a", (1, 2, 3)), ("b", (4,))):
+        for k in widths:
+            router.submit("m", req(k), stream=stream)
+    assert router.pending_requests() == 4
+    snap = metrics.snapshot()
+    assert snap['serve_queue_depth{model="m"}'] == 4
+    assert snap['serve_queue_columns{model="m"}'] == 10
+    if transport is Router:
+        router.drain()
+    else:
+        assert router.close(drain=True, timeout=WAIT)
+    snap = metrics.snapshot()
+    assert snap['serve_queue_depth{model="m"}'] == 0
+    assert snap['serve_queue_columns{model="m"}'] == 0
 
 
 # ------------------------------------------------- async router (concurrency)
@@ -610,7 +639,6 @@ def test_sync_router_feeds_slo_trackers_per_tenant():
     assert exemplar["model"] == "a"
     assert exemplar["request_aid"] >= 1
     assert exemplar["breakdown"]["block_id"] >= 1
-    assert exemplar["breakdown"]["queue_wait_seconds"] == 0.0
     # the shared scrape carries the per-tenant summary series
     prom = registry.metrics.to_prometheus()
     assert 'slo_latency_seconds{model="a",quantile="0.99"}' in prom
@@ -633,22 +661,70 @@ def test_sync_router_applies_slo_attached_after_first_traffic():
     assert registry.slo_tracker("a").requests_total == 1
 
 
-def test_async_router_feeds_outer_tickets_with_intake_wait():
+def test_async_router_times_requests_from_submit():
+    """A request that arrives while the worker is inside another tenant's
+    block is timed from submit: its partial block flushes as soon as the
+    worker is free once ``max_wait_s`` has passed since submit, and the
+    latency window's exemplar and the SLO tracker both see the whole
+    submit-to-resolve latency.  A fake clock makes every figure exact."""
+    clock = FakeClock()
+    gate = threading.Event()
+    bulk = FakeRouterSession(gate=gate)
+    session = FakeRouterSession()
     registry = ModelRegistry()
-    registry.register("a", session=FakeRouterSession(), slo="p99<10s")
-    router = AsyncRouter(registry, max_batch=4, max_wait_s=0.0)
-    report = router.serve(iter([("a", req(1)), ("a", req(2))]))
-    assert report.status == "ok"
+    registry.register("bulk", session=bulk)
+    registry.register("m", session=session, slo="p99<10s")
+    router = AsyncRouter(registry, max_batch=2, max_wait_s=1.0, clock=clock)
+    router.submit("bulk", req(2))  # a full block: the worker runs it and parks
+    deadline = time.monotonic() + WAIT
+    while bulk.calls == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert bulk.calls == 1
+    ticket = router.submit("m", req(1))  # a partial block, queued behind bulk
+    clock.advance(1.0)  # max_wait_s has passed since submit
+    gate.set()
+    assert ticket.wait(WAIT), "the due partial block never flushed"
+    assert router.close(drain=True, timeout=WAIT)
+    assert router.lane("m").counters["wait_flushes"] == 1
+    assert ticket.latency_seconds == 1.0
+    assert ticket.breakdown()["batch_wait_seconds"] == 1.0
 
-    tracker = registry.slo_tracker("a")
-    assert tracker.requests_total == 2
-    assert tracker.columns_total == pytest.approx(3.0)
-    exemplar = tracker.report().exemplar
-    # the async feed measures the OUTER ticket: latency includes the intake
-    # wait, and the breakdown reports it instead of the sync zero
-    assert exemplar["breakdown"]["queue_wait_seconds"] is not None
-    assert exemplar["breakdown"]["queue_wait_seconds"] >= 0.0
-    assert report.slo["a"]["requests_total"] == 2
+    (_, window), = session.metrics.series("serve_latency_seconds")
+    exemplar = window.snapshot()["exemplar"]
+    assert exemplar["latency_seconds"] == ticket.latency_seconds
+    assert exemplar["request_aid"] == ticket.aid
+    assert exemplar["breakdown"]["batch_wait_seconds"] == 1.0
+
+    tracker = registry.slo_tracker("m")
+    assert tracker.requests_total == 1
+    assert tracker.columns_total == pytest.approx(1.0)
+    slo = tracker.report()
+    assert slo.window["sum"] == pytest.approx(ticket.latency_seconds)
+    assert slo.exemplar["latency_seconds"] == ticket.latency_seconds
+    assert slo.exemplar["request_aid"] == ticket.aid
+
+
+@pytest.mark.parametrize("transport", [Router, AsyncRouter], ids=["sync", "async"])
+def test_dropped_router_is_freed_without_a_gc_pass(transport):
+    """The lanes' SLO hook must not close a reference cycle through the
+    router: a dropped router (and with it its lanes and queued blocks) is
+    freed by reference counting alone, even with the cycle collector off."""
+    registry = ModelRegistry()
+    registry.register("m", session=FakeRouterSession(), slo="p99<10s")
+    router = transport(registry, max_batch=2, max_wait_s=60.0)
+    ticket = router.submit("m", req(2))
+    if transport is Router:
+        router.drain()
+    else:
+        assert router.close(drain=True, timeout=WAIT)
+    assert ticket.ready
+    ref = weakref.ref(router)
+    gc.disable()
+    try:
+        del router
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_slo_feed_failure_cannot_break_serving():

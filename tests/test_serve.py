@@ -462,7 +462,6 @@ def test_ticket_breakdown_attributes_latency(bench):
     batcher.drain()
     for ticket in (t1, t2):
         b = ticket.breakdown()
-        assert b["queue_wait_seconds"] == 0.0  # no intake queue in sync mode
         assert b["batch_wait_seconds"] >= 0.0
         assert b["execute_seconds"] > 0.0
         assert b["block_id"] == 1

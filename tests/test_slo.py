@@ -31,7 +31,6 @@ class FakeTicket:
 
     def breakdown(self):
         return {
-            "queue_wait_seconds": 0.0,
             "batch_wait_seconds": 0.001,
             "execute_seconds": self.latency_seconds - 0.001,
             "block_id": 3,
