@@ -68,7 +68,7 @@ def _finish_obs(args, tracer, registry) -> None:
     if tracer is not None:
         path = tracer.write_chrome(args.trace)
         log.info(f"wrote Chrome trace to {path} ({len(tracer)} spans)")
-    if registry is not None:
+    if getattr(args, "metrics", False):
         log.info(registry.to_prometheus().rstrip("\n"))
 
 

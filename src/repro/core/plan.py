@@ -34,38 +34,39 @@ import time
 
 from repro.kernels import LayerPlan, plan_layer, planned_spmm
 from repro.network import SparseNetwork
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["LayerPlan", "StrategyPlan", "bake_plan", "plan_layer"]
 
 
 class StrategyPlan:
-    """A baked per-layer plan plus pre-resolved observability handles.
+    """A baked per-layer plan plus pre-resolved strategy counters.
 
     The hot path calls :meth:`dispatch`, which is a tuple index into
-    :attr:`layers` followed by the kernel call — no density re-check, no
-    counter-label resolution.  The plan holds no arrays, so it outlives any
-    view drop.
+    :attr:`layers` followed by the kernel call and one ``inc`` on the
+    ``spmm_strategy_total{strategy=...}`` counter bound at construction (on
+    ``metrics``, a private registry by default) — no density re-check, no
+    counter-label resolution.  :attr:`calls` reads those counters back.  The
+    plan holds no arrays, so it outlives any view drop.
     """
 
-    __slots__ = ("layers", "baked_seconds", "calls", "_counters")
+    __slots__ = ("layers", "baked_seconds", "_counters")
 
-    def __init__(self, layers: tuple[LayerPlan, ...], baked_seconds: float = 0.0):
+    def __init__(
+        self, layers: tuple[LayerPlan, ...], baked_seconds: float = 0.0, metrics=None
+    ):
+        metrics = MetricsRegistry() if metrics is None else metrics
         self.layers = tuple(layers)
         self.baked_seconds = float(baked_seconds)
-        self.calls = 0
-        self._counters: dict[str, object] = {}
+        self._counters = {
+            strategy: metrics.counter("spmm_strategy_total", strategy=strategy)
+            for strategy in ("colwise", "masked", "ell", "csr")
+        }
 
-    def bind_metrics(self, registry) -> "StrategyPlan":
-        """Pre-resolve the ``spmm_strategy_total`` counters once.
-
-        The planned path then pays one ``inc`` per layer instead of a
-        labelled registry lookup.
-        """
-        for strategy in ("colwise", "masked", "ell", "csr"):
-            self._counters[strategy] = registry.counter(
-                "spmm_strategy_total", strategy=strategy
-            )
-        return self
+    @property
+    def calls(self) -> int:
+        """spMM dispatches so far (every dispatch counts one strategy)."""
+        return int(sum(c.value for c in self._counters.values()))
 
     def pin_views(self, net: SparseNetwork) -> None:
         """Build the weight views the plan runs from.
@@ -82,11 +83,8 @@ class StrategyPlan:
 
     def dispatch(self, net: SparseNetwork, i: int, y, out=None):
         """``W(i) @ y`` via the baked decision; mirrors ``champion_spmm``."""
-        self.calls += 1
         z, work, strategy = planned_spmm(net, self.layers[i], y, out=out)
-        counter = self._counters.get(strategy)
-        if counter is not None:
-            counter.inc()
+        self._counters[strategy].inc()
         return z, work, strategy
 
     def stats(self) -> dict:
@@ -106,13 +104,10 @@ class StrategyPlan:
 def bake_plan(net: SparseNetwork, metrics=None) -> StrategyPlan:
     """Decide and freeze every layer's kernel strategy (no view is built).
 
-    ``metrics`` (a :class:`~repro.obs.MetricsRegistry`) pre-binds the
-    ``spmm_strategy_total{strategy=...}`` counters :meth:`StrategyPlan.
-    dispatch` increments.
+    ``metrics`` (a :class:`~repro.obs.MetricsRegistry` or labeled view)
+    holds the ``spmm_strategy_total{strategy=...}`` counters
+    :meth:`StrategyPlan.dispatch` increments.
     """
     t0 = time.perf_counter()
     layers = tuple(plan_layer(net, i) for i in range(len(net.layers)))
-    plan = StrategyPlan(layers, baked_seconds=time.perf_counter() - t0)
-    if metrics is not None:
-        plan.bind_metrics(metrics)
-    return plan
+    return StrategyPlan(layers, baked_seconds=time.perf_counter() - t0, metrics=metrics)

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CachedConversion", "CentroidCache", "degenerate_fill_baselines"]
 
@@ -145,9 +146,13 @@ class CentroidCache:
         Entries with more centroids than this are not cached — assignment
         against a huge centroid set costs more than it saves, and a
         conversion that barely clustered has no structure worth reusing.
+    metrics:
+        Registry (or labeled view) holding ``centroid_cache_*`` series, which
+        ``hits``/``misses``/``fills``/``invalidations`` read back; a private
+        one by default.
     """
 
-    def __init__(self, tolerance: float = 0.5, max_centroids: int = 512):
+    def __init__(self, tolerance: float = 0.5, max_centroids: int = 512, metrics=None):
         if tolerance < 0:
             raise ConfigError(f"reuse tolerance must be >= 0, got {tolerance}")
         if max_centroids < 1:
@@ -160,51 +165,56 @@ class CentroidCache:
         #: to the other (the residue algebra would silently be computed
         #: against foreign centroids).
         self._entries: dict[tuple[str | None, int], CachedConversion] = {}
-        self.hits = 0
-        self.misses = 0
-        self.fills = 0
         self.skipped_fills = 0
-        self.invalidations: dict[str, int] = {}
         #: last observed per-block quality (None until the first reuse attempt)
         self.last_distance: float | None = None
         self.last_density: float | None = None
-        self._c_hits = None
-        self._c_misses = None
-        self._c_fills = None
-        self._registry = None
-
-    # ----------------------------------------------------------- metrics
-    def bind_metrics(self, registry) -> "CentroidCache":
-        """Mirror cache activity onto a :class:`~repro.obs.MetricsRegistry`.
-
-        Publishes ``centroid_cache_{hits,misses,fills}_total``, per-reason
-        ``centroid_cache_invalidations_total{reason=...}``, an ``entries``
-        gauge, and gauges for the last observed assignment distance and
-        residue density (the staleness signals).
-        """
-        self._registry = registry
-        self._c_hits = registry.counter(
+        self._metrics = MetricsRegistry() if metrics is None else metrics
+        self._c_hits = self._metrics.counter(
             "centroid_cache_hits_total", help="blocks converted assign-only"
         )
-        self._c_misses = registry.counter(
+        self._c_misses = self._metrics.counter(
             "centroid_cache_misses_total", help="blocks with no cached conversion"
         )
-        self._c_fills = registry.counter(
+        self._c_fills = self._metrics.counter(
             "centroid_cache_fills_total", help="full conversions captured into the cache"
         )
-        gauge = registry.gauge("centroid_cache_entries", help="cached conversions held")
-        registry.on_collect(lambda _reg: gauge.set(len(self._entries)))
-        return self
+        #: reason -> ``centroid_cache_invalidations_total{reason=}``, bound on
+        #: the first drop for that reason
+        self._c_invalidations: dict[str, object] = {}
+        self._g_entries = self._metrics.gauge(
+            "centroid_cache_entries", help="cached conversions held"
+        )
+        self._metrics.on_collect(self._publish)
 
-    def _observe_quality(self, distance: float, density: float) -> None:
-        self.last_distance = float(distance)
-        self.last_density = float(density)
-        if self._registry is not None:
-            self._registry.gauge(
+    # ----------------------------------------------------------- metrics
+    @property
+    def hits(self) -> int:
+        return int(self._c_hits.value)
+
+    @property
+    def misses(self) -> int:
+        return int(self._c_misses.value)
+
+    @property
+    def fills(self) -> int:
+        return int(self._c_fills.value)
+
+    @property
+    def invalidations(self) -> dict[str, int]:
+        """Entries dropped so far, per staleness reason."""
+        return {r: int(c.value) for r, c in list(self._c_invalidations.items())}
+
+    def _publish(self, _registry) -> None:
+        """Scrape-time gauges: entry count and the last staleness signals."""
+        self._g_entries.set(len(self._entries))
+        if self.last_distance is not None:
+            metrics = self._metrics
+            metrics.gauge(
                 "centroid_reuse_assignment_distance",
                 help="mean L0 assignment distance (fraction of N) of the last reused block",
             ).set(self.last_distance)
-            self._registry.gauge(
+            metrics.gauge(
                 "centroid_reuse_residue_density",
                 help="mean residue density of the last reused block",
             ).set(self.last_density)
@@ -235,9 +245,7 @@ class CentroidCache:
             self._invalidate_entry(entry, reason="shape")
             entry = None
         if entry is None:
-            self.misses += 1
-            if self._c_misses is not None:
-                self._c_misses.inc()
+            self._c_misses.inc()
         return entry
 
     def admit(
@@ -252,7 +260,9 @@ class CentroidCache:
         dropped (counted under the drifting signal's reason) and the caller
         falls back to a full conversion, which refills the cache.
         """
-        self._observe_quality(distance, density)
+        # density first: a concurrent scrape publishes both once distance is set
+        self.last_density = float(density)
+        self.last_distance = float(distance)
         slack = 1.0 + self.tolerance
         if distance > entry.baseline_distance * slack + 1e-12:
             self._invalidate_entry(entry, reason="distance")
@@ -261,9 +271,7 @@ class CentroidCache:
             self._invalidate_entry(entry, reason="density")
             return False
         entry.served_blocks += 1
-        self.hits += 1
-        if self._c_hits is not None:
-            self._c_hits.inc()
+        self._c_hits.inc()
         return True
 
     # ----------------------------------------------------------- mutation
@@ -301,9 +309,7 @@ class CentroidCache:
             baseline_distance=float(baseline_distance),
             baseline_density=float(baseline_density),
         )
-        self.fills += 1
-        if self._c_fills is not None:
-            self._c_fills.inc()
+        self._c_fills.inc()
         return True
 
     def export_entries(self) -> list[CachedConversion]:
@@ -323,13 +329,14 @@ class CentroidCache:
         self._entries[(entry.network_key, entry.threshold_layer)] = entry
 
     def _count_invalidations(self, dropped: int, reason: str) -> None:
-        self.invalidations[reason] = self.invalidations.get(reason, 0) + dropped
-        if self._registry is not None:
-            self._registry.counter(
+        counter = self._c_invalidations.get(reason)
+        if counter is None:
+            counter = self._c_invalidations[reason] = self._metrics.counter(
                 "centroid_cache_invalidations_total",
                 help="cache entries dropped, by staleness reason",
                 reason=reason,
-            ).inc(dropped)
+            )
+        counter.inc(dropped)
 
     def _invalidate_entry(self, entry: CachedConversion, reason: str) -> None:
         """Drop exactly one entry by its own key (scope-safe)."""
@@ -369,7 +376,7 @@ class CentroidCache:
             "misses": self.misses,
             "fills": self.fills,
             "skipped_fills": self.skipped_fills,
-            "invalidations": dict(self.invalidations),
+            "invalidations": self.invalidations,
             "tolerance": self.tolerance,
             "last_distance": self.last_distance,
             "last_density": self.last_density,

@@ -14,11 +14,20 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import DeviceError
+from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.gpu.device import VirtualDevice
 
-__all__ = ["DeviceBuffer", "BufferPool", "MemoryBudget"]
+__all__ = ["DeviceBuffer", "BufferPool", "MemoryBudget", "MAX_POOL_KEYS"]
+
+
+#: Most ``(shape, dtype)`` keys a :class:`BufferPool` retains.  A warm
+#: engine asks for one shape per distinct ``(layer width, block width)`` pair,
+#: so a fixed-width stream on any benchmark network (every layer N x N) uses
+#: one key; mixed-width traffic would otherwise grow the pool by one key per
+#: block width ever seen.
+MAX_POOL_KEYS = 16
 
 
 class BufferPool:
@@ -29,43 +38,43 @@ class BufferPool:
     churning the allocator.  ``take`` hands back an existing buffer of the
     requested shape — skipping any array in ``avoid`` so an spMM never writes
     into its own input — or allocates a new one (retained up to
-    ``slots_per_key``).  Contents are unspecified; every kernel's ``out=``
-    path zero-fills before accumulating.
+    ``slots_per_key``).  At most :data:`MAX_POOL_KEYS` shapes are retained: a
+    miss on a new shape past the cap drops the oldest shape first.  Contents
+    are unspecified; every kernel's ``out=`` path zero-fills before
+    accumulating.
+
+    ``pool_take_total``/``pool_hit_total``/``pool_alloc_total`` on
+    ``metrics`` (a private registry by default) count requests, recycled
+    hands-back and fresh allocations, which ``hits``/``misses`` read back;
+    ``pool_bytes_highwater`` tracks the largest retained footprint.
     """
 
-    def __init__(self, slots_per_key: int = 2):
+    def __init__(self, slots_per_key: int = 2, metrics=None):
         if slots_per_key < 1:
             raise DeviceError(f"slots_per_key must be >= 1, got {slots_per_key}")
+        metrics = MetricsRegistry() if metrics is None else metrics
         self.slots_per_key = int(slots_per_key)
         self._bufs: dict[tuple, list[np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self._take_counter = None
-        self._hit_counter = None
-        self._alloc_counter = None
-        self._highwater_gauge = None
-
-    def bind_metrics(self, registry) -> "BufferPool":
-        """Publish pool activity on a :class:`~repro.obs.MetricsRegistry`.
-
-        ``pool_take_total``/``pool_hit_total``/``pool_alloc_total`` count
-        requests, recycled hands-back, and fresh allocations;
-        ``pool_bytes_highwater`` tracks the largest retained footprint.
-        """
-        self._take_counter = registry.counter(
+        self._c_take = metrics.counter(
             "pool_take_total", help="buffer requests served by the pool"
         )
-        self._hit_counter = registry.counter(
+        self._c_hit = metrics.counter(
             "pool_hit_total", help="buffer requests satisfied by a recycled array"
         )
-        self._alloc_counter = registry.counter(
+        self._c_alloc = metrics.counter(
             "pool_alloc_total", help="buffer requests that allocated a fresh array"
         )
-        self._highwater_gauge = registry.gauge(
+        self._g_highwater = metrics.gauge(
             "pool_bytes_highwater", help="largest retained pool footprint in bytes"
         )
-        self._highwater_gauge.set_max(self.nbytes)
-        return self
+
+    @property
+    def hits(self) -> int:
+        return int(self._c_hit.value)
+
+    @property
+    def misses(self) -> int:
+        return int(self._c_alloc.value)
 
     def take(
         self,
@@ -76,22 +85,21 @@ class BufferPool:
         if isinstance(avoid, np.ndarray):
             avoid = (avoid,)
         key = (tuple(int(s) for s in shape), np.dtype(dtype).str)
-        bufs = self._bufs.setdefault(key, [])
-        if self._take_counter is not None:
-            self._take_counter.inc()
+        self._c_take.inc()
+        bufs = self._bufs.get(key)
+        if bufs is None:
+            if len(self._bufs) >= MAX_POOL_KEYS:
+                del self._bufs[next(iter(self._bufs))]  # oldest shape first
+            bufs = self._bufs[key] = []
         for buf in bufs:
             if not any(buf is a for a in avoid or ()):
-                self.hits += 1
-                if self._hit_counter is not None:
-                    self._hit_counter.inc()
+                self._c_hit.inc()
                 return buf
-        self.misses += 1
+        self._c_alloc.inc()
         buf = np.empty(key[0], dtype=dtype)
         if len(bufs) < self.slots_per_key:
             bufs.append(buf)
-        if self._alloc_counter is not None:
-            self._alloc_counter.inc()
-            self._highwater_gauge.set_max(self.nbytes)
+        self._g_highwater.set_max(self.nbytes)
         return buf
 
     def owns(self, array: np.ndarray) -> bool:
@@ -140,43 +148,45 @@ class MemoryBudget:
     The budget itself holds no arrays, so it cannot leak: it is a ledger of
     what the accounts said they retain, refreshed by the owner after every
     request and after every eviction.
+
+    It publishes on ``metrics`` (a private registry by default):
+    ``memory_budget_limit_bytes``, ``memory_budget_retained_bytes`` (the
+    ledger, read at scrape time) and ``memory_budget_highwater_bytes``
+    gauges, and a ``memory_budget_evictions_total`` counter.  The highwater
+    gauge is advanced by :meth:`publish` — the owner calls it *after*
+    enforcement so the published peak reflects steady state under the
+    budget, not the transient between a fill and the eviction it triggered.
+    ``evictions`` and ``highwater_bytes`` read those series back.
     """
 
-    def __init__(self, limit_bytes: int | None = None):
+    def __init__(self, limit_bytes: int | None = None, metrics=None):
         if limit_bytes is not None and limit_bytes < 0:
             raise DeviceError(f"limit_bytes must be >= 0, got {limit_bytes}")
+        metrics = MetricsRegistry() if metrics is None else metrics
         self.limit_bytes = int(limit_bytes) if limit_bytes is not None else None
         self._accounts: dict[str, int] = {}
-        self.evictions = 0
-        self.highwater_bytes = 0
-        self._g_retained = None
-        self._g_highwater = None
-        self._c_evictions = None
-
-    def bind_metrics(self, registry) -> "MemoryBudget":
-        """Publish the ledger on a :class:`~repro.obs.MetricsRegistry`.
-
-        ``memory_budget_limit_bytes`` / ``memory_budget_retained_bytes`` /
-        ``memory_budget_highwater_bytes`` gauges plus a
-        ``memory_budget_evictions_total`` counter.  The highwater gauge is
-        advanced by :meth:`publish` — the owner calls it *after* enforcement
-        so the published peak reflects steady state under the budget, not
-        the transient between a fill and the eviction it triggered.
-        """
-        registry.gauge(
+        metrics.gauge(
             "memory_budget_limit_bytes", help="configured retained-bytes budget (0 = unlimited)"
         ).set(self.limit_bytes or 0)
-        self._g_retained = registry.gauge(
+        retained = metrics.gauge(
             "memory_budget_retained_bytes", help="retained bytes across all accounts"
         )
-        self._g_highwater = registry.gauge(
+        metrics.on_collect(lambda _reg: retained.set(self.retained_bytes))
+        self._g_highwater = metrics.gauge(
             "memory_budget_highwater_bytes",
             help="largest retained footprint observed after budget enforcement",
         )
-        self._c_evictions = registry.counter(
+        self._c_evictions = metrics.counter(
             "memory_budget_evictions_total", help="sessions demoted warm-to-cold by the budget"
         )
-        return self
+
+    @property
+    def evictions(self) -> int:
+        return int(self._c_evictions.value)
+
+    @property
+    def highwater_bytes(self) -> int:
+        return int(self._g_highwater.value)
 
     def update(self, name: str, nbytes: int) -> None:
         """Set account ``name``'s retained footprint (absolute, not a delta)."""
@@ -199,22 +209,16 @@ class MemoryBudget:
         return dict(self._accounts)
 
     def record_eviction(self, n: int = 1) -> None:
-        self.evictions += n
-        if self._c_evictions is not None:
-            self._c_evictions.inc(n)
+        self._c_evictions.inc(n)
 
     def publish(self) -> int:
-        """Refresh gauges and the high-water mark; returns retained bytes.
+        """Advance the high-water mark; returns retained bytes.
 
         Call after enforcement has settled so the high-water mark certifies
         "stayed under budget" rather than recording the pre-eviction spike.
         """
         retained = self.retained_bytes
-        if retained > self.highwater_bytes:
-            self.highwater_bytes = retained
-        if self._g_retained is not None:
-            self._g_retained.set(retained)
-            self._g_highwater.set_max(self.highwater_bytes)
+        self._g_highwater.set_max(retained)
         return retained
 
     def stats(self) -> dict:

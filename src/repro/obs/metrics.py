@@ -11,9 +11,11 @@ lookup afterwards.  Two exports:
 * :meth:`MetricsRegistry.snapshot` — a JSON-safe dict, embedded verbatim in
   ``BENCH_serve.json`` by :func:`repro.serve.bench.bench_serve`.
 
-Collect callbacks (:meth:`MetricsRegistry.on_collect`) let objects that
-already keep their own state (``CentroidCache``'s entry count) publish at
-scrape time instead of paying per-event updates.
+The registry is the only store of every serving and engine count: each
+owner binds its series at construction and reads them back for ``stats()``.
+State an owner keeps anyway (``CentroidCache``'s entry count, the budget
+ledger) is published at scrape time by collect callbacks
+(:meth:`MetricsRegistry.on_collect`) instead of per-event updates.
 
 Everything here is thread-safe: the async serving transport updates the
 same registry from producer threads and the consumer worker, so every
@@ -26,6 +28,7 @@ exports behind an RLock (collect callbacks re-enter it).
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Callable, Iterable
 
 from repro.obs.export import json_safe
@@ -233,21 +236,22 @@ class MetricsRegistry:
         self, name: str, help: str = "", window_s: float = 60.0,
         slots: int = 12, buckets: Iterable[float] = WINDOW_BUCKETS,
         quantiles: Iterable[float] = DEFAULT_QUANTILES,
-        target: float | None = None, **labels: str,
+        target: float | None = None, clock: Callable[[], float] = time.monotonic,
+        **labels: str,
     ) -> SlidingWindow:
         """Get-or-create a :class:`~repro.obs.window.SlidingWindow` series.
 
         Windows expose as Prometheus ``summary`` series — one
         ``name{quantile="..."}`` line per configured quantile plus windowed
         ``_sum``/``_count`` — and as a quantile/exemplar dict in
-        :meth:`snapshot`.  Like histogram buckets, the window geometry is
-        fixed by the first creation; later get-or-create calls with
-        different parameters return the existing series unchanged.
+        :meth:`snapshot`.  Like histogram buckets, the window geometry (and
+        its ``clock``) is fixed by the first creation; later get-or-create
+        calls with different parameters return the existing series unchanged.
         """
         return self._get(
             SlidingWindow, name, help, labels,
             window_s=window_s, slots=slots, buckets=buckets,
-            quantiles=quantiles, target=target,
+            quantiles=quantiles, target=target, clock=clock,
         )
 
     # -------------------------------------------------------------- lookup
@@ -378,7 +382,7 @@ class LabeledRegistry:
     def window(self, name: str, help: str = "", **kwargs) -> SlidingWindow:
         labels = {
             k: kwargs.pop(k) for k in list(kwargs)
-            if k not in ("window_s", "slots", "buckets", "quantiles", "target")
+            if k not in ("window_s", "slots", "buckets", "quantiles", "target", "clock")
         }
         return self._registry.window(name, help, **kwargs, **self._merge(labels))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.obs.export import json_safe
-from repro.obs.window import SlidingWindow
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["SloPolicy", "SloTracker", "SloReport"]
 
@@ -203,11 +203,11 @@ class SloTracker:
     policy:
         The :class:`SloPolicy` to measure against.
     metrics:
-        Registry (or per-tenant labeled view) the tracker publishes its
-        series into; a throwaway private window when ``None`` (pure
-        in-process tracking, nothing scrapeable).
+        Registry (or per-tenant labeled view) the tracker keeps its window,
+        counters and gauges in; a private registry when ``None``.
     clock:
-        Shared time source for window rotation; injectable in tests.
+        Time source for window rotation, whether or not the registry is
+        shared; injectable in tests.
     name:
         Tenant name, echoed into reports for log readability.
     """
@@ -221,44 +221,38 @@ class SloTracker:
         #: control can poll on every submit without re-reading the window
         self.last_burn = 0.0
         quantiles = tuple(sorted({0.5, 0.95, 0.99, policy.quantile}))
-        if metrics is not None:
-            self.window = metrics.window(
-                "slo_latency_seconds",
-                help="sliding-window request latency under the tenant's SLO",
-                window_s=policy.window_s,
-                quantiles=quantiles,
-                target=policy.latency_target_s,
-            )
-            self._c_requests = metrics.counter(
-                "slo_requests_total", help="requests evaluated against the SLO"
-            )
-            self._c_breaches = metrics.counter(
-                "slo_breaches_total",
-                help="requests over the latency target (or failed)",
-            )
-            self._c_columns = metrics.counter(
-                "slo_columns_total", help="columns served under the SLO"
-            )
-            self._g_burn = metrics.gauge(
-                "slo_burn_rate",
-                help="windowed breach fraction / allowed fraction (1.0 = "
-                     "spending the error budget exactly at the sustainable rate)",
-            )
-            self._g_budget = metrics.gauge(
-                "slo_budget_remaining",
-                help="remaining window error budget fraction (negative = overspent)",
-            )
-            self._g_compliant = metrics.gauge(
-                "slo_compliant", help="1 when every applicable SLO verdict holds"
-            )
-            self._g_compliant.set(1.0)
-        else:
-            self.window = SlidingWindow(
-                window_s=policy.window_s, quantiles=quantiles,
-                target=policy.latency_target_s, clock=clock,
-            )
-            self._c_requests = self._c_breaches = self._c_columns = None
-            self._g_burn = self._g_budget = self._g_compliant = None
+        metrics = MetricsRegistry() if metrics is None else metrics
+        self.window = metrics.window(
+            "slo_latency_seconds",
+            help="sliding-window request latency under the tenant's SLO",
+            window_s=policy.window_s,
+            quantiles=quantiles,
+            target=policy.latency_target_s,
+            clock=clock,
+        )
+        self._c_requests = metrics.counter(
+            "slo_requests_total", help="requests evaluated against the SLO"
+        )
+        self._c_breaches = metrics.counter(
+            "slo_breaches_total",
+            help="requests over the latency target (or failed)",
+        )
+        self._c_columns = metrics.counter(
+            "slo_columns_total", help="columns served under the SLO"
+        )
+        self._g_burn = metrics.gauge(
+            "slo_burn_rate",
+            help="windowed breach fraction / allowed fraction (1.0 = "
+                 "spending the error budget exactly at the sustainable rate)",
+        )
+        self._g_budget = metrics.gauge(
+            "slo_budget_remaining",
+            help="remaining window error budget fraction (negative = overspent)",
+        )
+        self._g_compliant = metrics.gauge(
+            "slo_compliant", help="1 when every applicable SLO verdict holds"
+        )
+        self._g_compliant.set(1.0)
 
     # ------------------------------------------------------------- recording
     def record(
@@ -281,12 +275,11 @@ class SloTracker:
             # target so the window's over_target count stays exact
             latency_s = self.policy.latency_target_s * (1.0 + 1e-9)
         self.window.observe(latency_s, columns=columns, exemplar=exemplar)
-        if self._c_requests is not None:
-            self._c_requests.inc()
-            self._c_columns.inc(columns)
-            if breach:
-                self._c_breaches.inc()
-            self._publish()
+        self._c_requests.inc()
+        self._c_columns.inc(columns)
+        if breach:
+            self._c_breaches.inc()
+        self.report()
 
     def record_ticket(self, ticket, model: str | None = None) -> None:
         """Account one resolved serving ticket, with its exemplar.
@@ -362,33 +355,24 @@ class SloTracker:
             throughput_ok=throughput_ok,
         )
 
-    def _publish(self) -> None:
-        if self._g_burn is None:
-            return
-        report = self._evaluate()
-        self._g_burn.set(report.burn_rate)
-        self._g_budget.set(report.budget_remaining)
-        self._g_compliant.set(1.0 if report.compliant else 0.0)
-
     @property
     def requests_total(self) -> int:
-        return int(self._c_requests.value) if self._c_requests is not None else 0
+        return int(self._c_requests.value)
 
     @property
     def breaches_total(self) -> int:
-        return int(self._c_breaches.value) if self._c_breaches is not None else 0
+        return int(self._c_breaches.value)
 
     @property
     def columns_total(self) -> float:
-        return self._c_columns.value if self._c_columns is not None else 0.0
+        return self._c_columns.value
 
     def report(self) -> SloReport:
         """Evaluate the SLO right now (also refreshes the gauges)."""
         report = self._evaluate()
-        if self._g_burn is not None:
-            self._g_burn.set(report.burn_rate)
-            self._g_budget.set(report.budget_remaining)
-            self._g_compliant.set(1.0 if report.compliant else 0.0)
+        self._g_burn.set(report.burn_rate)
+        self._g_budget.set(report.budget_remaining)
+        self._g_compliant.set(1.0 if report.compliant else 0.0)
         return report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

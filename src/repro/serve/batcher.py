@@ -43,6 +43,21 @@ from repro.serve.session import EngineSession
 
 __all__ = ["MicroBatcher", "Ticket", "validate_request"]
 
+#: :attr:`MicroBatcher.counters` key -> help of its ``serve_<key>_total`` series
+_COUNTS = {
+    "requests": "requests accepted into the pending queue",
+    "rejected": "requests rejected on queue overflow",
+    "failed": "requests whose block raised during execution",
+    "batches": "blocks flushed to the engine session",
+    "batched_columns": "columns packed into flushed blocks",
+    "wait_flushes": "latency-deadline flushes (one per poll or per lane-scheduler pick)",
+    "hol_stalls": "under-filled blocks flushed because the FIFO head did not fit",
+    "hol_underfill_columns": "block columns left empty by FIFO head-of-line packing",
+    "timer_underfills": "under-filled blocks flushed on the latency deadline",
+    "timer_underfill_columns": "block columns left empty on latency-deadline flushes "
+                               "(the head arrived late; nothing was refused)",
+}
+
 
 def validate_request(session: EngineSession, y0) -> np.ndarray:
     """``y0`` as ``session`` takes it: ``(input_dim, k)`` with ``k >= 1``."""
@@ -171,7 +186,13 @@ class Ticket:
 
 
 class MicroBatcher:
-    """Bounded request packer in front of an engine session."""
+    """Bounded request packer in front of an engine session.
+
+    Its counts live only in the session's registry view (``serve_*_total``);
+    :attr:`counters`, :attr:`reuse_outcomes` and :meth:`stats` read them
+    back.  ``stream`` names a tenant's non-default lane, whose counters add
+    ``stream=<id>`` so each lane reads only its own blocks.
+    """
 
     def __init__(
         self,
@@ -180,6 +201,7 @@ class MicroBatcher:
         max_wait_s: float = 0.002,
         max_pending: int = 1024,
         clock=time.monotonic,
+        stream: str | None = None,
     ):
         if max_batch < 1:
             raise ShapeError(f"max_batch must be >= 1, got {max_batch}")
@@ -197,77 +219,56 @@ class MicroBatcher:
         #: guards the pending deque, its column count and the queue gauges
         self._lock = threading.Lock()
         self._next_aid = 0
-        self.counters = {
-            "requests": 0,
-            "rejected": 0,
-            "failed": 0,
-            "batches": 0,
-            "batched_columns": 0,
-            "wait_flushes": 0,
-            "hol_stalls": 0,
-            "hol_underfill_columns": 0,
-            "timer_underfills": 0,
-            "timer_underfill_columns": 0,
-        }
-        #: per-block centroid-reuse outcomes ('hit' / 'cold' / 'stale'),
-        #: populated only when the session's engine carries a CentroidCache
-        self.reuse_outcomes: dict[str, int] = {}
+        self._next_block = 0
         # serving telemetry rides on the session's registry/tracer so one
         # scrape (or one trace file) covers queue, blocks, and kernels; a
         # named session hands back its per-tenant labeled view, so two
         # batchers over one registry stay separable per model
         self.tracer = session.tracer
-        metrics = getattr(session, "scoped", None) or session.metrics
-        self._c_requests = metrics.counter(
-            "serve_requests_total", help="requests accepted into the pending queue"
-        )
-        self._c_rejected = metrics.counter(
-            "serve_rejected_total", help="requests rejected on queue overflow"
-        )
-        self._c_failed = metrics.counter(
-            "serve_failed_total", help="requests whose block raised during execution"
-        )
-        self._c_batches = metrics.counter(
-            "serve_batches_total", help="blocks flushed to the engine session"
-        )
-        self._c_batched_columns = metrics.counter(
-            "serve_batched_columns_total", help="columns packed into flushed blocks"
-        )
+        tenant = getattr(session, "scoped", session.metrics)
+        # the counters are this lane's own store (``counters`` reads them
+        # back), so a tenant's non-default stream lanes add ``stream=<id>``
+        lane = tenant if stream is None else tenant.labeled(stream=stream)
+        self._lane_metrics = lane
+        self._c = {
+            key: lane.counter(f"serve_{key}_total", help=text) for key, text in _COUNTS.items()
+        }
         # a tenant's stream lanes share these two series, so every lane
         # moves them by inc/dec and the sum stays right
-        self._g_queue_depth = metrics.gauge(
+        self._g_queue_depth = tenant.gauge(
             "serve_queue_depth", help="requests currently pending in the tenant's lanes"
         )
-        self._g_queue_columns = metrics.gauge(
+        self._g_queue_columns = tenant.gauge(
             "serve_queue_columns", help="columns currently pending in the tenant's lanes"
         )
-        self._c_hol_stalls = metrics.counter(
-            "serve_hol_stalls_total",
-            help="under-filled blocks flushed because the FIFO head did not fit",
-        )
-        self._c_hol_underfill = metrics.counter(
-            "serve_hol_underfill_columns_total",
-            help="block columns left empty by FIFO head-of-line packing",
-        )
-        self._c_timer_underfill = metrics.counter(
-            "serve_timer_underfill_columns_total",
-            help="block columns left empty on latency-deadline flushes "
-                 "(the head arrived late; nothing was refused)",
-        )
         self._fill_buckets = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
-        self._metrics = metrics
+        self._tenant_metrics = tenant
         # streaming tail view: per-request latency over the last minute, so
         # a scrape reads "p99 right now" instead of a lifetime histogram
-        self._w_latency = metrics.window(
+        self._w_latency = tenant.window(
             "serve_latency_seconds",
             help="sliding-window submit-to-resolve latency per request",
         )
         self._h_fill: dict[str, object] = {}
+        #: outcome ('hit' / 'cold' / 'stale') -> ``serve_reuse_blocks_total``
+        #: counter, bound on the first block with that outcome
         self._c_reuse_blocks: dict[str, object] = {}
         #: optional per-ticket resolution hook (SLO trackers subscribe here);
         #: called with each resolved ticket, failures included.  Guarded —
         #: observability must never take the serving path down.
         self.on_resolve = None
+
+    @property
+    def counters(self) -> dict[str, int]:
+        """Packing counts, read back from the lane's registry series."""
+        return {key: int(c.value) for key, c in self._c.items()}
+
+    @property
+    def reuse_outcomes(self) -> dict[str, int]:
+        """Blocks per centroid-reuse outcome ('hit' / 'cold' / 'stale');
+        empty unless the session's engine carries a CentroidCache."""
+        # list(): the worker may bind a new outcome while another thread reads
+        return {o: int(c.value) for o, c in list(self._c_reuse_blocks.items())}
 
     # --------------------------------------------------------------- queue
     @property
@@ -297,8 +298,7 @@ class MicroBatcher:
         """
         with self._lock:
             if len(self._pending) >= self.max_pending:
-                self.counters["rejected"] += 1
-                self._c_rejected.inc()
+                self._c["rejected"].inc()
                 raise ServeOverflowError(
                     f"pending queue full ({self.max_pending} requests); request rejected"
                 )
@@ -306,8 +306,7 @@ class MicroBatcher:
             ticket = Ticket(y0, self.clock(), aid=self._next_aid)
             self._pending.append(ticket)
             self._pending_cols += ticket.columns
-            self.counters["requests"] += 1
-            self._c_requests.inc()
+            self._c["requests"].inc()
             self._g_queue_depth.inc()
             self._g_queue_columns.inc(ticket.columns)
         self.tracer.begin_async("request", ticket.aid, columns=ticket.columns)
@@ -333,7 +332,7 @@ class MicroBatcher:
         if not self._pending:
             return 0
         if reason == "wait":
-            self.counters["wait_flushes"] += 1
+            self._c["wait_flushes"].inc()
         return self._flush_batch(reason=reason)
 
     def seconds_until_due(self) -> float | None:
@@ -358,7 +357,7 @@ class MicroBatcher:
         due = self.seconds_until_due()
         if due is None or due > 0:
             return 0
-        self.counters["wait_flushes"] += 1
+        self._c["wait_flushes"].inc()
         return self._drain(reason="wait")
 
     def drain(self) -> int:
@@ -390,7 +389,10 @@ class MicroBatcher:
         traffic can see what FIFO costs it.
         """
         tracer = self.tracer
-        block_id = self.counters["batches"] + 1
+        # every block gets its own id, failed ones included (``batches``
+        # counts only the blocks served)
+        self._next_block += 1
+        block_id = self._next_block
         with tracer.span(
             "batch.pack", cat="serve", reason=reason, block_id=block_id
         ) as pack_span:
@@ -415,18 +417,15 @@ class MicroBatcher:
                 # fit, and that — and only that — is a head-of-line stall.
                 # An under-filled deadline flush with an empty queue is the
                 # head arriving late, not FIFO refusing anyone.
-                self.counters["hol_stalls"] += 1
-                self.counters["hol_underfill_columns"] += underfill
-                self._c_hol_stalls.inc()
-                self._c_hol_underfill.inc(underfill)
+                self._c["hol_stalls"].inc()
+                self._c["hol_underfill_columns"].inc(underfill)
                 pack_span.set(hol_underfill=underfill)
             elif reason == "wait" and underfill > 0:
                 # latency-flush underfill: the timer fired before traffic
                 # filled the block — tracked separately so sparse traffic
                 # does not inflate serve_hol_stalls_total
-                self.counters["timer_underfills"] += 1
-                self.counters["timer_underfill_columns"] += underfill
-                self._c_timer_underfill.inc(underfill)
+                self._c["timer_underfills"].inc()
+                self._c["timer_underfill_columns"].inc(underfill)
                 pack_span.set(timer_underfill=underfill)
             block = take[0].y0 if len(take) == 1 else np.hstack([t.y0 for t in take])
             pack_span.set(requests=len(take), columns=cols)
@@ -450,10 +449,9 @@ class MicroBatcher:
             reuse_info = result.stats.get("centroid_reuse") if result.stats else None
             if reuse_info is not None:
                 outcome = "hit" if reuse_info.get("hit") else reuse_info.get("reason", "miss")
-                self.reuse_outcomes[outcome] = self.reuse_outcomes.get(outcome, 0) + 1
                 counter = self._c_reuse_blocks.get(outcome)
                 if counter is None:
-                    counter = self._c_reuse_blocks[outcome] = self._metrics.counter(
+                    counter = self._c_reuse_blocks[outcome] = self._lane_metrics.counter(
                         "serve_reuse_blocks_total",
                         help="blocks served by centroid-reuse outcome",
                         outcome=outcome,
@@ -475,13 +473,11 @@ class MicroBatcher:
                     "request", ticket.aid, batch_columns=cols, reason=reason
                 )
                 lo = hi
-        self.counters["batches"] += 1
-        self.counters["batched_columns"] += cols
-        self._c_batches.inc()
-        self._c_batched_columns.inc(cols)
+        self._c["batches"].inc()
+        self._c["batched_columns"].inc(cols)
         fill_hist = self._h_fill.get(reason)
         if fill_hist is None:
-            fill_hist = self._h_fill[reason] = self._metrics.histogram(
+            fill_hist = self._h_fill[reason] = self._tenant_metrics.histogram(
                 "serve_batch_fill",
                 buckets=self._fill_buckets,
                 help="block occupancy as a fraction of max_batch, per flush reason",
@@ -525,8 +521,7 @@ class MicroBatcher:
             self.tracer.end_async(
                 "request", ticket.aid, error=type(error).__name__, reason=reason
             )
-        self.counters["failed"] += len(tickets)
-        self._c_failed.inc(len(tickets))
+        self._c["failed"].inc(len(tickets))
         self._settle(tickets)
 
     def _settle(self, tickets: list[Ticket]) -> None:
@@ -547,19 +542,21 @@ class MicroBatcher:
     # ------------------------------------------------------------- metrics
     def stats(self) -> dict:
         """Packing counters plus the mean block fill against ``max_batch``."""
-        batches = self.counters["batches"]
+        counters = self.counters
+        batches = counters["batches"]
         mean_fill = (
-            self.counters["batched_columns"] / (batches * self.max_batch)
+            counters["batched_columns"] / (batches * self.max_batch)
             if batches
             else 0.0
         )
         out = {
-            **self.counters,
+            **counters,
             "pending_requests": self.pending_requests,
             "pending_columns": self.pending_columns,
             "max_batch": self.max_batch,
             "mean_fill": mean_fill,
         }
-        if self.reuse_outcomes:
-            out["reuse_blocks"] = dict(self.reuse_outcomes)
+        reuse_outcomes = self.reuse_outcomes
+        if reuse_outcomes:
+            out["reuse_blocks"] = reuse_outcomes
         return out

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, ServeShedError
+from repro.obs.metrics import MetricsRegistry
 
 #: Priority classes in rank order — lower index is served first.
 PRIORITY_CLASSES = ("interactive", "batch")
@@ -293,6 +294,9 @@ class AdmissionController:
     ``burn_threshold``, or the memory budget over its limit — shed only
     batch-class tenants: shedding bulk is always preferred over letting it
     damage an interactive tenant's tail or evict its warm state.
+
+    Sheds are counted only in ``qos_shed_total{model=,reason=}`` on
+    ``metrics`` (a private registry by default); :attr:`shed` reads them.
     """
 
     def __init__(
@@ -303,13 +307,22 @@ class AdmissionController:
         burn_threshold: float | None = 1.0,
         clock=time.monotonic,
     ) -> None:
-        self.metrics = metrics
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         self.queue_pressure_requests = queue_pressure_requests
         self.burn_threshold = burn_threshold
         self.clock = clock
         self._policies: dict[str, QosPolicy] = {}
         self._buckets: dict[str, TokenBucket] = {}
-        self.shed: dict[str, dict[str, int]] = {}
+        #: (model, reason) -> ``qos_shed_total`` counter, bound on first shed
+        self._c_shed: dict[tuple[str, str], object] = {}
+
+    @property
+    def shed(self) -> dict[str, dict[str, int]]:
+        """Sheds so far, ``{model: {reason: count}}``."""
+        out: dict[str, dict[str, int]] = {}
+        for (model, reason), counter in list(self._c_shed.items()):
+            out.setdefault(model, {})[reason] = int(counter.value)
+        return out
 
     def register(self, model: str, policy: QosPolicy) -> None:
         """Attach a tenant's policy; idempotent (first registration wins,
@@ -327,15 +340,15 @@ class AdmissionController:
         return self._policies.get(model) or QosPolicy()
 
     def _shed(self, model: str, reason: str, detail: str) -> None:
-        per_model = self.shed.setdefault(model, {})
-        per_model[reason] = per_model.get(reason, 0) + 1
-        if self.metrics is not None:
-            self.metrics.counter(
+        counter = self._c_shed.get((model, reason))
+        if counter is None:
+            counter = self._c_shed[(model, reason)] = self.metrics.counter(
                 "qos_shed_total",
                 help="requests shed by admission control",
                 model=model,
                 reason=reason,
-            ).inc()
+            )
+        counter.inc()
         raise ServeShedError(
             f"request for {model!r} shed by admission control ({detail})",
             reason=reason,
@@ -398,7 +411,7 @@ class AdmissionController:
             },
             "queue_pressure_requests": self.queue_pressure_requests,
             "burn_threshold": self.burn_threshold,
-            "shed": {name: dict(reasons) for name, reasons in self.shed.items()},
+            "shed": self.shed,
             "shed_total": self.shed_total(),
             "buckets": {
                 name: {"rate": b.rate, "burst": b.burst, "tokens": b.tokens}

@@ -138,8 +138,8 @@ class ModelRegistry:
         memory_budget_bytes: int | None = None,
         clock=time.monotonic,
     ):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.budget = MemoryBudget(memory_budget_bytes).bind_metrics(self.metrics)
+        self.metrics = MetricsRegistry() if metrics is None else metrics
+        self.budget = MemoryBudget(memory_budget_bytes, metrics=self.metrics)
         self.clock = clock
         self._sessions: dict[str, EngineSession] = {}
         self._last_served: dict[str, float] = {}
@@ -677,6 +677,7 @@ class _RouterCore:
                 max_wait_s=self.max_wait_s,
                 max_pending=self.queue_limit,
                 clock=self.clock,
+                stream=stream,
             )
 
             # the tracker is looked up per resolution, not captured: a

@@ -97,13 +97,13 @@ class EngineSession:
         self.name = name
         self.device = device or VirtualDevice()
         self.tracer = as_tracer(tracer)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry() if metrics is None else metrics
         #: the session's metric surface: a per-tenant labeled view when
         #: named, the raw registry otherwise (legacy unlabeled series)
         self.scoped = self.metrics.labeled(model=name) if name is not None else self.metrics
-        self.scratch = BufferPool().bind_metrics(self.scoped)
+        self.scratch = BufferPool(metrics=self.scoped)
         self.reuse = (
-            CentroidCache(tolerance=reuse_tolerance).bind_metrics(self.scoped)
+            CentroidCache(tolerance=reuse_tolerance, metrics=self.scoped)
             if centroid_reuse and kind == "snicit"
             else None
         )

@@ -138,7 +138,7 @@ def test_cache_scope_uses_network_fingerprint(workload):
 
 def test_cache_metrics_binding():
     registry = MetricsRegistry()
-    cache = CentroidCache().bind_metrics(registry)
+    cache = CentroidCache(metrics=registry)
     cache.lookup(3, 4)
     cache.fill(3, **entry_kwargs())
     cache.admit(cache.lookup(3, 4), 0.1, 0.1)

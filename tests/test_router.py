@@ -159,7 +159,7 @@ def test_memory_budget_rejects_negative_limit():
 
 def test_memory_budget_publish_advances_highwater_monotonically():
     registry = MetricsRegistry()
-    budget = MemoryBudget(limit_bytes=500).bind_metrics(registry)
+    budget = MemoryBudget(limit_bytes=500, metrics=registry)
     budget.update("a", 300)
     assert budget.publish() == 300
     budget.update("a", 120)

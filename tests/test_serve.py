@@ -547,6 +547,25 @@ def test_on_resolve_sees_failed_tickets_too():
     assert ticket.breakdown()["execute_seconds"] is not None
 
 
+def test_failed_block_keeps_its_own_block_id():
+    """Block ids come from a per-lane sequence: a block that dies still
+    takes its id, so the next block's requests carry the next one, while
+    ``batches`` keeps counting only the blocks served."""
+    from types import SimpleNamespace
+
+    session = _DoomedSession()
+    batcher = MicroBatcher(session, max_batch=2, max_wait_s=60.0)
+    failed = batcher.enqueue(np.ones((4, 2)))
+    with pytest.raises(RuntimeError):
+        batcher.drain()
+    session.run = lambda block: SimpleNamespace(y=block, stats={}, stage_seconds={})
+    served = batcher.submit(np.ones((4, 2)))
+    assert served.ready
+    assert (failed.block_id, served.block_id) == (1, 2)
+    assert batcher.counters["batches"] == 1
+    assert batcher.counters["failed"] == 1
+
+
 # -------------------------------------------------------------- JSON export
 def test_serve_report_to_json_is_json_dumpable(bench):
     net, cfg, y0 = bench

@@ -214,7 +214,7 @@ def test_record_ticket_failed_carries_error_type():
     )
     report = tracker.report()
     assert report.exemplar["error"] == "ValueError"
-    assert report.breaches_total == 0  # no registry -> no lifetime counters
+    assert report.breaches_total == 1  # a fast failure still breaches
     assert report.window["over_target"] == 1
 
 
