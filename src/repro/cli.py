@@ -387,18 +387,22 @@ def _serve_fleet(args, tenants) -> int:
     log.info(f"  throughput   {summary['columns_per_second']:9.1f} col/s wall   "
              f"{cap:9.1f} col/s capacity" if cap else
              f"  throughput   {summary['columns_per_second']:9.1f} col/s wall")
-    for per in summary["per_worker"]:
+    for per, drained in zip(summary["per_worker"], report.worker_reports):
         rep = per["report"] or {}
         log.info(f"  [worker {per['worker']}] "
                  f"{rep.get('requests', '?')} requests, "
                  f"{len(rep.get('streams') or [])} streams, "
                  f"cpu {1e3 * (rep.get('cpu_seconds') or 0):.1f} ms, "
                  f"restarts={per['restarts']}")
-        shed = (((rep.get("qos") or {}).get("admission") or {}).get("shed")
-                or {})
+        # qos_shed_total{model="m",reason="..."} series, summed per model
+        shed: dict[str, float] = {}
+        for key, value in ((drained or {}).get("metrics") or {}).items():
+            if key.startswith("qos_shed_total{"):
+                model = key.split('model="', 1)[1].split('"', 1)[0]
+                shed[model] = shed.get(model, 0) + value
         if shed:
             log.info(f"  [worker {per['worker']}] qos shed: " + ", ".join(
-                f"{m}={sum(r.values())}" for m, r in sorted(shed.items())
+                f"{m}={int(n)}" for m, n in sorted(shed.items())
             ))
     if args.slo:
         for key, slo in sorted(fleet.merged_slo().items()):

@@ -73,6 +73,10 @@ class CostSnapshot:
 class CostModel:
     """Accumulates kernel charges and converts them to modeled time.
 
+    The ledger keeps running totals only, so a long-lived engine's ledger
+    stays the same size however many blocks it serves.  Per-launch detail
+    rides on the tracer's kernel spans (:meth:`repro.obs.trace.Span.charge`).
+
     Parameters
     ----------
     peak_flops:
@@ -102,7 +106,6 @@ class CostModel:
     _h2d: float = field(default=0.0, init=False)
     _d2h: float = field(default=0.0, init=False)
     _modeled_seconds: float = field(default=0.0, init=False)
-    _history: list[KernelCharge] = field(default_factory=list, init=False)
 
     def kernel_time(self, charge: KernelCharge) -> float:
         """Modeled latency of a single kernel launch (roofline + overhead)."""
@@ -120,7 +123,6 @@ class CostModel:
         self._atomics += charge.atomics
         self._barriers += charge.barriers
         self._modeled_seconds += seconds
-        self._history.append(charge)
         return seconds
 
     def charge_h2d(self, nbytes: float) -> float:
@@ -159,11 +161,6 @@ class CostModel:
         self._h2d = 0.0
         self._d2h = 0.0
         self._modeled_seconds = 0.0
-        self._history.clear()
-
-    @property
-    def history(self) -> tuple[KernelCharge, ...]:
-        return tuple(self._history)
 
     @property
     def modeled_seconds(self) -> float:

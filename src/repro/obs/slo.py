@@ -23,7 +23,12 @@ Trackers publish through whatever registry view they are given — a
 per-tenant ``metrics.labeled(model=name)`` in multi-model serving — so one
 scrape carries ``slo_latency_seconds{model="a",quantile="0.99"}`` per
 tenant, and :meth:`SloTracker.report` renders the JSON block embedded in
-``RouterReport.to_json()`` and the bench-serve record.
+a router report's ``to_json()`` and the bench-serve record.
+
+Recording stays cheap: a resolved request updates the window and counters
+and refreshes :attr:`SloTracker.last_burn` from the window's exact breach
+counts.  The quantile estimate and the three gauges (``slo_burn_rate``,
+``slo_budget_remaining``, ``slo_compliant``) are evaluated at scrape time.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any
 
@@ -253,6 +259,9 @@ class SloTracker:
             "slo_compliant", help="1 when every applicable SLO verdict holds"
         )
         self._g_compliant.set(1.0)
+        # held weakly: the registry outlives a replaced or evicted tenant's tracker
+        report = weakref.WeakMethod(self.report)
+        metrics.on_collect(lambda _registry: (live := report()) and live())
 
     # ------------------------------------------------------------- recording
     def record(
@@ -279,7 +288,7 @@ class SloTracker:
         self._c_columns.inc(columns)
         if breach:
             self._c_breaches.inc()
-        self.report()
+        self.last_burn = self._burn(*self.window.breaches())
 
     def record_ticket(self, ticket, model: str | None = None) -> None:
         """Account one resolved serving ticket, with its exemplar.
@@ -305,15 +314,20 @@ class SloTracker:
         )
 
     # -------------------------------------------------------------- reporting
+    def _burn(self, count: int, over_target: int | None) -> float:
+        """Windowed breach fraction over the allowed fraction; 0.0 when idle
+        (a 0/0 would leak NaN into the /slo JSON and every merged scrape)."""
+        if count <= 0:
+            return 0.0
+        burn = (over_target or 0) / count / self.policy.error_budget
+        return burn if math.isfinite(burn) else 0.0
+
     def _evaluate(self) -> SloReport:
         snap = self.window.snapshot()
         count = snap["count"]
         policy = self.policy
+        self.last_burn = burn = self._burn(count, snap["over_target"])
         if count <= 0:
-            # an idle window (zero requests after rotation) must read as
-            # zero burn / full budget — a 0/0 here would leak NaN into the
-            # /slo JSON and every merged fleet scrape
-            self.last_burn = 0.0
             return SloReport(
                 policy=policy, window=snap,
                 requests_total=self.requests_total,
@@ -327,12 +341,7 @@ class SloTracker:
         # second window read could rotate in between and disagree (or go
         # empty entirely, reintroducing the divide-by-zero this guards)
         estimate = snap["quantiles"].get(f"p{policy.quantile * 100:g}")
-        breach_fraction = (snap["over_target"] or 0) / count
-        burn = breach_fraction / policy.error_budget
-        if not math.isfinite(burn):
-            burn = 0.0
         budget_remaining = 1.0 - burn
-        self.last_burn = burn
         # windowed throughput: columns over the full window span (slightly
         # conservative while the window is still filling)
         cps = snap["columns"] / policy.window_s
@@ -368,7 +377,8 @@ class SloTracker:
         return self._c_columns.value
 
     def report(self) -> SloReport:
-        """Evaluate the SLO right now (also refreshes the gauges)."""
+        """Evaluate the SLO right now (also refreshes the gauges); every
+        scrape of the tracker's registry calls it."""
         report = self._evaluate()
         self._g_burn.set(report.burn_rate)
         self._g_budget.set(report.budget_remaining)

@@ -1,6 +1,6 @@
 """Sliding-window quantile estimation for live tail-latency telemetry.
 
-The pooled quantiles :meth:`~repro.serve.router.ServeReport.latency_quantiles`
+The pooled quantiles :meth:`~repro.serve.report.ServeReport.latency_quantiles`
 computes are end-of-run numbers — useless to an SLO controller that needs
 "what is p99 *right now*".  :class:`SlidingWindow` gives the streaming
 answer: a ring of bucketed sub-windows, each covering ``window_s / slots``
@@ -228,13 +228,18 @@ class SlidingWindow:
             running += n
         return hi_clamp
 
+    def _quantiles_of(self, live: list[_Slot], qs) -> list[float]:
+        """Interpolated quantiles ``qs`` over the merged (non-empty) ``live`` slots."""
+        merged = [sum(counts) for counts in zip(*(s.counts for s in live))]
+        lo = min(s.min_value for s in live)
+        hi = max(s.max_value for s in live)
+        return [self._quantile_from_counts(merged, sum(merged), q, lo, hi) for q in qs]
+
     def snapshot(self) -> dict[str, Any]:
         """Merged live-slot view: quantiles, extrema, breaches, exemplar."""
         with self._lock:
-            now = self.clock()
-            live = self._live_slots(now)
-            count = sum(s.count for s in live)
-            if count == 0:
+            live = self._live_slots(self.clock())
+            if not live:
                 return {
                     "window_seconds": self.window_s,
                     "count": 0,
@@ -246,16 +251,10 @@ class SlidingWindow:
                     "max": None,
                     "exemplar": None,
                 }
-            merged = [0] * (len(self.buckets) + 1)
-            for slot in live:
-                for i, n in enumerate(slot.counts):
-                    merged[i] += n
-            lo = min(s.min_value for s in live)
-            hi = max(s.max_value for s in live)
             slowest = max(live, key=lambda s: s.max_value)
             return {
                 "window_seconds": self.window_s,
-                "count": count,
+                "count": sum(s.count for s in live),
                 "sum": sum(s.sum for s in live),
                 "columns": sum(s.columns for s in live),
                 "over_target": (
@@ -263,38 +262,33 @@ class SlidingWindow:
                     if self.target is not None
                     else None
                 ),
-                "quantiles": {
-                    f"p{q * 100:g}": self._quantile_from_counts(
-                        merged, count, q, lo, hi
-                    )
-                    for q in self.quantiles
-                },
-                "min": lo,
-                "max": hi,
+                "quantiles": dict(zip(
+                    (f"p{q * 100:g}" for q in self.quantiles),
+                    self._quantiles_of(live, self.quantiles),
+                )),
+                "min": min(s.min_value for s in live),
+                "max": slowest.max_value,
                 "exemplar": slowest.exemplar,
             }
 
     def quantile(self, q: float) -> float | None:
         """One interpolated quantile of the live window (None when empty)."""
         with self._lock:
-            now = self.clock()
-            live = self._live_slots(now)
-            count = sum(s.count for s in live)
-            if count == 0:
-                return None
-            merged = [0] * (len(self.buckets) + 1)
-            for slot in live:
-                for i, n in enumerate(slot.counts):
-                    merged[i] += n
-            lo = min(s.min_value for s in live)
-            hi = max(s.max_value for s in live)
-            return self._quantile_from_counts(merged, count, float(q), lo, hi)
+            live = self._live_slots(self.clock())
+            return self._quantiles_of(live, (float(q),))[0] if live else None
 
     @property
     def count(self) -> int:
         """Live observations in the window right now."""
         with self._lock:
             return sum(s.count for s in self._live_slots(self.clock()))
+
+    def breaches(self) -> tuple[int, int]:
+        """``(count, over_target)`` of the live window, without the bucket
+        merge and quantile pass of :meth:`snapshot`."""
+        with self._lock:
+            live = self._live_slots(self.clock())
+            return sum(s.count for s in live), sum(s.over_target for s in live)
 
     def expose(self) -> dict[str, Any]:
         """The registry-facing export (:meth:`MetricsRegistry.snapshot`)."""

@@ -22,11 +22,7 @@ This package keeps one engine warm and feeds it well-packed blocks:
   transport — thread-safe ``submit`` straight into the lane's batcher,
   one consumer worker that packs and executes blocks while new arrivals
   accumulate, reject/block backpressure per lane, and drain/abort
-  shutdown.  On both, a request's handle is the batcher's
-  :class:`~repro.serve.batcher.Ticket` (``wait()`` / ``.y`` / ``.error``),
-  timed from submit.  Both report a stream as
-  a :class:`~repro.serve.router.RouterReport` of per-tenant
-  :class:`~repro.serve.router.ServeReport`\\ s;
+  shutdown;
 * :class:`~repro.serve.fleet.FleetDispatcher` — multi-process scale-out:
   N supervised worker processes (stdlib ``multiprocessing``, spawn-safe),
   each owning its own warm :class:`~repro.serve.router.ModelRegistry` behind
@@ -34,9 +30,16 @@ This package keeps one engine warm and feeds it well-packed blocks:
   *stream* (stable :func:`~repro.serve.fleet.stream_shard` hash) so every
   stream's packing order — and therefore its outputs, bitwise — matches a
   single process; crashed workers are restarted and their streams replayed,
-  and per-worker reports/metrics/SLO merge into one
-  :class:`~repro.serve.fleet.FleetReport` and one ``/metrics`` + ``/slo``
-  scrape (``worker=`` label kept separable);
+  and per-worker metrics/SLO merge into one ``/metrics`` + ``/slo`` scrape
+  (``worker=`` label kept separable);
+* one request handle and one report on every transport: the batcher's
+  :class:`~repro.serve.batcher.Ticket` (``wait()`` / ``.y`` / ``.error``,
+  timed from submit) is what both routers return and what the fleet
+  resolves from a worker's result, its error typed on both sides; and
+  :class:`~repro.serve.report.ServeReport` computes a stream's outcome from
+  those tickets — per tenant, as a router's map of tenant reports, or as a
+  fleet's map plus its supervision facts (restarts, replays, per-worker
+  drain facts);
 * :mod:`repro.serve.qos` — SLO-driven quality of service: per-tenant
   :class:`~repro.serve.qos.QosPolicy` (priority class + DWRR weight + token
   -bucket rate limit), the :class:`~repro.serve.qos.DeficitScheduler` both
@@ -76,8 +79,6 @@ from repro.serve.bench import (
 )
 from repro.serve.fleet import (
     FleetDispatcher,
-    FleetReport,
-    FleetTicket,
     TenantSpec,
     WorkerCrashError,
     stream_shard,
@@ -94,9 +95,8 @@ from repro.serve.router import (
     AsyncRouter,
     ModelRegistry,
     Router,
-    RouterReport,
-    ServeReport,
 )
+from repro.serve.report import ServeReport
 from repro.serve.session import EngineSession
 
 __all__ = [
@@ -104,14 +104,11 @@ __all__ = [
     "ModelRegistry",
     "Router",
     "AsyncRouter",
-    "RouterReport",
     "MicroBatcher",
     "Ticket",
     "ServeReport",
     "BACKPRESSURE_POLICIES",
     "FleetDispatcher",
-    "FleetReport",
-    "FleetTicket",
     "TenantSpec",
     "WorkerCrashError",
     "stream_shard",

@@ -16,8 +16,9 @@ an error, never dropped silently.  The queue is the lane's only queue on
 both router transports: producers may :meth:`~MicroBatcher.enqueue` from
 any thread while one thread flushes, because the pending deque, its column
 count and its gauges change only under the batcher's lock (the engine runs
-outside it).  A :class:`Ticket` is the only in-process request handle; it
-resolves exactly once and can be waited on from another thread.
+outside it).  A :class:`Ticket` is the only request handle, in-process and
+across the fleet's process boundary; it resolves exactly once and can be
+waited on from another thread.
 
 Packing is strictly FIFO: a block takes the longest *prefix* of the queue
 that fits in ``max_batch`` columns, never skipping ahead to a narrower
@@ -74,12 +75,17 @@ class Ticket:
     killed its block, or with :class:`~repro.errors.ServeClosedError` when
     an async router aborts before the request ran.  :meth:`wait` blocks
     another thread until then.
+
+    The fleet dispatcher resolves the same class from a worker's result
+    message, which carries the block fields the batcher fills here — all
+    but ``result``, the block's InferenceResult, which stays in the worker.
+    Only ``worker``, ``stream`` and ``index`` are fleet-specific.
     """
 
     __slots__ = (
         "y0", "submitted_at", "completed_at", "batch_columns", "result", "_y", "aid",
         "error", "packed_at", "block_id", "execute_seconds", "stage_seconds",
-        "_done", "_resolutions",
+        "worker", "stream", "index", "_done", "_resolutions",
     )
 
     def __init__(self, y0: np.ndarray, submitted_at: float, aid: int = 0):
@@ -103,6 +109,11 @@ class Ticket:
         self.execute_seconds: float | None = None
         #: the block's per-pipeline-stage seconds (shared across its tickets)
         self.stage_seconds: dict | None = None
+        #: fleet only: the resolving worker slot, the stream, and the
+        #: request's 0-based submit order within its lane
+        self.worker: int | None = None
+        self.stream: str | None = None
+        self.index: int | None = None
         self._done = threading.Event()
         #: times this ticket was resolved (the invariant is exactly once)
         self._resolutions = 0

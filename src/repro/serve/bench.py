@@ -48,9 +48,10 @@ harness, :func:`_pass`: a fresh :class:`~repro.serve.router.ModelRegistry`
 holding the pass's tenants, one router over it with ``max_wait_s`` high
 enough that blocks pack identically on either transport, and one
 :meth:`~repro.serve.router.Router.serve` of the request list.  Sections
-read what they record from the returned router and
-:class:`~repro.serve.router.RouterReport`.  The fleet passes of
-``scale_out`` go through :func:`_fleet_pass` instead.
+read what they record from the returned router and its
+:class:`~repro.serve.report.ServeReport`.  The fleet passes of
+``scale_out`` go through :func:`_fleet_pass`, whose report is the same
+class, and take their per-worker entries from it.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ from repro.harness.experiments.common import sdgc_config
 from repro.harness.runner import run_engine
 from repro.harness.workloads import get_benchmark, get_input
 from repro.obs import Tracer
-from repro.serve.router import AsyncRouter, ModelRegistry, Router, RouterReport, ServeReport
+from repro.serve.report import ServeReport
+from repro.serve.router import AsyncRouter, ModelRegistry, Router
 from repro.serve.session import EngineSession
 
 __all__ = [
@@ -222,7 +224,7 @@ SOLO = "solo"
 def _pass(
     tenants: dict, items: list, max_batch: int, transport=Router,
     interarrivals=None, memory_budget_bytes: int | None = None, **router_kw,
-) -> tuple[Router | AsyncRouter, RouterReport]:
+) -> tuple[Router | AsyncRouter, ServeReport]:
     """Serve ``items`` once through a fresh registry and router.
 
     ``tenants`` maps a name to a prebuilt :class:`EngineSession` or to a
@@ -543,14 +545,10 @@ def _run_multi(
         mine = report.per_model[name]
         identical = _same(_outputs(mine.served), _outputs(ref.served))
         lane = router.lane(name).stats()
+        summary = mine.summary()
         per_tenant[name] = {
-            "requests": mine.requests,
-            "served": len(mine.served),
-            "rejected": len(mine.rejected),
-            "columns": mine.columns,
-            "columns_per_second": mine.columns_per_second,
-            "latency_seconds": mine.latency_quantiles(),
-            "status": mine.status,
+            **{k: summary[k] for k in ("requests", "served", "rejected", "columns",
+                                       "columns_per_second", "latency_seconds", "status")},
             "isolation_identical": identical,
             # same check, stated as the SLO-instrumentation invariant: the
             # references ran without trackers, so a bitwise match proves the
@@ -783,14 +781,13 @@ def _run_scale_out(worker_counts, requests: int, request_cols: int, seed: int) -
     for n in counts:
         report = _fleet_pass(spec, items, n, max_batch)
         per_worker = []
-        for i, rep in enumerate(report.worker_reports):
+        for worker in report.per_worker():
+            facts = worker["report"] or {}
             per_worker.append({
-                "worker": i,
-                "requests": (rep or {}).get("requests"),
-                "columns": (rep or {}).get("columns"),
-                "streams": len((rep or {}).get("streams") or []),
-                "cpu_seconds": (rep or {}).get("cpu_seconds"),
-                "busy_seconds": (rep or {}).get("busy_seconds"),
+                "worker": worker["worker"],
+                **{k: facts.get(k) for k in ("requests", "columns", "cpu_seconds",
+                                             "busy_seconds")},
+                "streams": len(facts.get("streams") or []),
             })
         entry = {
             "workers": n,
@@ -845,15 +842,13 @@ def _run_scale_out(worker_counts, requests: int, request_cols: int, seed: int) -
             ((rep or {}).get("warm_sources") or {}).get("m")
             for rep in report.worker_reports
         ]
+        summary = report.summary()
         crash = {
             "workers": n,
             "victim": victim,
-            "restarts": list(report.restarts),
-            "restart_total": report.restart_total,
+            **{k: summary[k] for k in ("restarts", "restart_total", "served", "failed",
+                                       "rejected")},
             "replayed": list(report.replayed),
-            "served": len(report.served),
-            "failed": len(report.failed),
-            "rejected": len(report.rejected),
             "outputs_identical": _streams_identical(report, reference, names),
             "other_workers_identical": _streams_identical(
                 report, reference, other_streams

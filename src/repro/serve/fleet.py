@@ -17,12 +17,13 @@ This module adds the scale-out tier:
   results + a final report back over its result queue.
 * :class:`FleetDispatcher` — the front end: ``submit(model, y0, stream=s)``
   routes whole *streams* (never individual requests) to workers via the
-  stable :func:`stream_shard` hash, collects results on a daemon thread
-  into :class:`FleetTicket` futures, supervises worker health
-  (restart-on-crash with stream replay, restart counts in the report),
-  drains gracefully, and merges per-worker reports and telemetry
-  (:mod:`repro.obs.merge`) into one :class:`FleetReport` and one
-  ``/metrics`` + ``/slo`` scrape.
+  stable :func:`stream_shard` hash, resolves each request's
+  :class:`~repro.serve.batcher.Ticket` from its worker's result (errors
+  keep their :mod:`repro.errors` class across the process boundary),
+  supervises worker health (restart-on-crash with stream replay), drains
+  gracefully, and reports through the one
+  :class:`~repro.serve.report.ServeReport` with per-worker telemetry merged
+  (:mod:`repro.obs.merge`) into one ``/metrics`` + ``/slo`` scrape.
 
 Why sharding by stream keeps outputs bitwise identical
 ------------------------------------------------------
@@ -36,15 +37,16 @@ stream, one worker, one FIFO task queue), so every stream's block sequence
 of the same submission order, for any worker count.  Sharding by *request*
 would scatter one stream's requests across processes and change packing.
 
-Crash recovery rides on the same property plus one more (established in
-PR 6 and gated in CI): with centroid reuse off, a warm session's outputs
-are bitwise identical to a cold engine's, i.e. outputs are independent of
+Crash recovery rides on the same property plus one more (gated in CI):
+with centroid reuse off, a warm session's outputs are bitwise identical
+to a cold engine's, i.e. outputs are independent of
 accumulated warm state.  A replacement worker therefore *replays every
 affected stream from its first request* — not just the unresolved tail —
-so the replayed packing prefix matches the original run; already-resolved
-tickets ignore their duplicate results (first resolution wins), and the
-previously unresolved ones complete with the same bytes an uncrashed run
-would have produced.  Streams hashed to other workers never notice.
+so the replayed packing prefix matches the original run; duplicate results
+for already-resolved tickets are dropped under the dispatcher lock (first
+resolution wins), and the previously unresolved ones complete with the
+same bytes an uncrashed run would have produced.  Streams hashed to other
+workers never notice.
 
 Determinism requires a deterministic flush schedule: blocks must flush on
 size (``max_batch``) or drain, not on wall-clock ``max_wait_s`` racing
@@ -73,19 +75,20 @@ import signal
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro import errors
 from repro.errors import ConfigError, ReproError, ServeClosedError
 from repro.obs.export import json_safe
-from repro.obs.merge import merge_prometheus, merge_snapshots
+from repro.obs.merge import merge_prometheus
+from repro.serve.batcher import Ticket
+from repro.serve.report import ServeReport
 
 __all__ = [
     "TenantSpec",
     "FleetDispatcher",
-    "FleetReport",
-    "FleetTicket",
     "WorkerCrashError",
     "stream_shard",
 ]
@@ -97,7 +100,20 @@ _START_METHOD = "spawn"
 
 
 class WorkerCrashError(ReproError, RuntimeError):
-    """A fleet worker died and exhausted its restart budget."""
+    """A fleet worker died past its restart budget, or the fleet aborted
+    before the request resolved."""
+
+
+def _rebuild_error(type_name: str, message: str) -> ReproError:
+    """The worker's exception by class name: a :mod:`repro.errors` class
+    comes back as itself (a bad shape raises the :class:`~repro.errors.
+    ShapeError` an in-process submit raises), any other as a ReproError
+    naming it.  :class:`WorkerCrashError` is only the dispatcher's verdict.
+    """
+    cls = getattr(errors, type_name, None)
+    if isinstance(cls, type) and issubclass(cls, ReproError):
+        return cls(message)
+    return ReproError(f"{type_name}: {message}")
 
 
 def stream_shard(stream: str, workers: int) -> int:
@@ -160,110 +176,6 @@ class TenantSpec:
 
             cfg = dataclasses.replace(cfg, threshold_layer=self.threshold)
         return net, cfg
-
-
-class FleetTicket:
-    """Future-like handle for one fleet request, resolved by the collector.
-
-    Mirrors the in-process :class:`~repro.serve.batcher.Ticket`'s surface
-    where it can: ``done`` / ``ready`` / ``failed`` / ``wait`` / ``y`` /
-    ``categories``, plus a blocking ``result(timeout)``.  The payload
-    crossed a process boundary, so ``y`` is a dispatcher-side copy, ``error``
-    is the message string, and the worker-side latency breakdown arrives as
-    a plain dict under :attr:`info`.
-    """
-
-    __slots__ = (
-        "req_id", "model", "stream", "index", "submitted_at", "resolved_at",
-        "worker", "info", "rejected", "_y", "_categories", "_error", "_event",
-    )
-
-    def __init__(self, req_id: int, model: str, stream: str, index: int,
-                 submitted_at: float):
-        self.req_id = req_id
-        self.model = model
-        self.stream = stream
-        #: submit order within this stream (0-based)
-        self.index = index
-        self.submitted_at = submitted_at
-        self.resolved_at: float | None = None
-        #: slot index of the worker that resolved it
-        self.worker: int | None = None
-        #: worker-side telemetry (latency breakdown, block id, batch fill)
-        self.info: dict = {}
-        #: True when the worker's lane turned the request away (backpressure
-        #: or validation), as opposed to an execution failure
-        self.rejected = False
-        self._y: np.ndarray | None = None
-        self._categories: np.ndarray | None = None
-        self._error: str | None = None
-        self._event = threading.Event()
-
-    # -------------------------------------------------------------- producer
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    @property
-    def ready(self) -> bool:
-        return self.done and self._error is None
-
-    @property
-    def failed(self) -> bool:
-        return self._error is not None
-
-    @property
-    def error(self) -> str | None:
-        return self._error
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._event.wait(timeout)
-
-    def result(self, timeout: float | None = None) -> np.ndarray:
-        if not self._event.wait(timeout):
-            raise TimeoutError(f"fleet request {self.req_id} unresolved")
-        if self._error is not None:
-            raise WorkerCrashError(self._error) if not self.rejected else (
-                ConfigError(self._error)
-            )
-        return self._y
-
-    @property
-    def y(self) -> np.ndarray:
-        if not self.done:
-            raise ServeClosedError("ticket not resolved yet; wait() on it")
-        if self._error is not None:
-            raise WorkerCrashError(self._error)
-        return self._y
-
-    @property
-    def categories(self) -> np.ndarray:
-        self.y  # raise on unresolved/failed, same contract as Ticket
-        return self._categories
-
-    @property
-    def latency_seconds(self) -> float | None:
-        """Dispatcher-side submit-to-resolve wall time (IPC included)."""
-        if self.resolved_at is None:
-            return None
-        return self.resolved_at - self.submitted_at
-
-    # ------------------------------------------------------------- collector
-    def _resolve(self, now: float, *, worker: int | None = None, y=None,
-                 categories=None, info=None, error: str | None = None,
-                 rejected: bool = False) -> bool:
-        """First resolution wins; replayed duplicates return False."""
-        if self._event.is_set():
-            return False
-        self.worker = worker
-        self._y = y
-        self._categories = categories
-        self.info = info or {}
-        self._error = error
-        self.rejected = rejected
-        self.resolved_at = now
-        self._event.set()
-        return True
 
 
 # --------------------------------------------------------------------------
@@ -332,13 +244,7 @@ def _worker_run(worker_id, incarnation, specs, options, task_q, result_q,
             registry.metrics, slo_provider=registry.slo_report_json, port=0
         )
     heartbeat.value = time.time()
-    result_q.put(("ready", incarnation, {
-        "pid": os.getpid(),
-        "obs_port": obs.port if obs is not None else None,
-        "build_seconds": build_seconds,
-        "warmup_seconds": warmup_seconds,
-        "warm_sources": warm_sources,
-    }))
+    result_q.put(("ready", incarnation, obs.port if obs is not None else None))
 
     inflight: deque = deque()  # (req_id, Ticket), arrival order
     counts = {"requests": 0, "columns": 0, "rejected": 0, "failed": 0}
@@ -357,19 +263,15 @@ def _worker_run(worker_id, incarnation, specs, options, task_q, result_q,
             if ticket.failed:
                 counts["failed"] += 1
                 exc = ticket.error
-                result_q.put(("failed", incarnation, req_id,
-                              f"{type(exc).__name__}: {exc}"))
+                result_q.put(("failed", incarnation, req_id, type(exc).__name__, str(exc)))
             else:
-                y = np.ascontiguousarray(ticket.y)
-                counts["columns"] += int(y.shape[1])
-                result_q.put(("result", incarnation, req_id, {
-                    "y": y,
-                    "categories": np.asarray(ticket.categories),
-                    "latency_seconds": ticket.latency_seconds,
-                    "breakdown": ticket.breakdown(),
-                    "batch_columns": ticket.batch_columns,
-                    "block_id": ticket.block_id,
-                }))
+                counts["columns"] += ticket.columns
+                # the block fields the batcher filled, for the dispatcher's ticket
+                fields = {name: getattr(ticket, name) for name in (
+                    "batch_columns", "block_id", "packed_at", "execute_seconds",
+                    "stage_seconds")}
+                fields["_y"] = np.ascontiguousarray(ticket.y)
+                result_q.put(("result", incarnation, req_id, fields))
         inflight.clear()
         inflight.extend(still)
 
@@ -389,8 +291,7 @@ def _worker_run(worker_id, incarnation, specs, options, task_q, result_q,
                 ticket = router.submit(model, y0, stream=stream)
             except Exception as exc:
                 counts["rejected"] += 1
-                result_q.put(("reject", incarnation, req_id,
-                              f"{type(exc).__name__}: {exc}"))
+                result_q.put(("reject", incarnation, req_id, type(exc).__name__, str(exc)))
             else:
                 inflight.append((req_id, ticket))
             ship_resolved()
@@ -409,9 +310,6 @@ def _worker_run(worker_id, incarnation, specs, options, task_q, result_q,
                 "cpu_seconds": time.process_time() - cpu0,
                 "busy_seconds": router.exec_seconds,
                 "wall_seconds": time.perf_counter() - wall0,
-                "registry": json_safe(registry.stats()),
-                "lanes": json_safe(router.stats()["lanes"]),
-                "qos": json_safe(router.stats().get("qos")),
                 "slo": registry.slo_report_json() or None,
                 "metrics": json_safe(registry.metrics.snapshot()),
                 "prometheus": registry.metrics.to_prometheus(),
@@ -457,7 +355,6 @@ class _WorkerSlot:
         self.restarts = 0
         self.replayed = 0
         self.ready = threading.Event()
-        self.ready_info: dict = {}
         self.report: dict | None = None
         self.report_event = threading.Event()
         self.obs_port: int | None = None
@@ -475,149 +372,13 @@ class _WorkerSlot:
         return time.time() - self.heartbeat.value
 
 
-@dataclass
-class FleetReport:
-    """Merged outcome of one fleet serve: per-worker + fleet-wide views."""
-
-    workers: int
-    served: list[FleetTicket] = field(default_factory=list)
-    rejected: list[tuple[int, str]] = field(default_factory=list)
-    failed: list[tuple[int, str]] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    #: restart count per worker slot (supervision outcome)
-    restarts: list[int] = field(default_factory=list)
-    #: requests re-enqueued to replacement workers, per slot
-    replayed: list[int] = field(default_factory=list)
-    #: final report dict of each slot's current incarnation (None if lost)
-    worker_reports: list[dict | None] = field(default_factory=list)
-    #: stream id -> tickets in submit order (resolved or not)
-    streams: dict[str, list[FleetTicket]] = field(default_factory=dict)
-
-    # ----------------------------------------------------------- aggregates
-    @property
-    def requests(self) -> int:
-        return len(self.served) + len(self.rejected) + len(self.failed)
-
-    @property
-    def columns(self) -> int:
-        return sum(int(t._y.shape[1]) for t in self.served if t._y is not None)
-
-    @property
-    def columns_per_second(self) -> float:
-        return self.columns / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def requests_per_second(self) -> float:
-        return (
-            len(self.served) / self.wall_seconds if self.wall_seconds > 0 else 0.0
-        )
-
-    @property
-    def restart_total(self) -> int:
-        return sum(self.restarts)
-
-    @property
-    def cpu_seconds(self) -> list[float | None]:
-        """Steady-state CPU seconds each slot's final incarnation burned."""
-        return [
-            (rep or {}).get("cpu_seconds") if rep is not None else None
-            for rep in self.worker_reports
-        ]
-
-    @property
-    def critical_path_cpu_seconds(self) -> float | None:
-        """Slowest worker's CPU seconds — the fleet's capacity bottleneck."""
-        known = [c for c in self.cpu_seconds if c is not None]
-        return max(known) if known else None
-
-    @property
-    def capacity_columns_per_second(self) -> float | None:
-        """Aggregate throughput with >= 1 core per worker (see module doc)."""
-        critical = self.critical_path_cpu_seconds
-        if critical is None or critical <= 0:
-            return None
-        return self.columns / critical
-
-    @property
-    def status(self) -> str:
-        if not self.requests:
-            return "no_traffic"
-        if not self.served:
-            return "all_rejected"
-        if self.rejected or self.failed or None in self.worker_reports:
-            return "degraded"
-        return "ok"
-
-    def stream_output(self, stream: str) -> np.ndarray:
-        """The stream's served columns, hstacked in submit order."""
-        tickets = self.streams.get(stream, [])
-        parts = [t.y for t in tickets if t.ready]
-        if not parts:
-            raise ConfigError(f"stream {stream!r} has no served output")
-        return np.hstack(parts)
-
-    def latency_quantiles(self, qs=(0.5, 0.95, 0.99, 1.0)) -> dict | None:
-        lat = [t.latency_seconds for t in self.served if t.latency_seconds]
-        if not lat:
-            return None
-        arr = np.array(lat)
-        return {f"p{int(q * 100)}": float(np.quantile(arr, q)) for q in qs}
-
-    def merged_metrics(self) -> dict:
-        """One snapshot dict with per-worker ``worker=`` labels."""
-        return merge_snapshots({
-            str(i): (rep or {}).get("metrics") or {}
-            for i, rep in enumerate(self.worker_reports)
-        })
-
-    def summary(self) -> dict:
-        per_worker = []
-        for i, rep in enumerate(self.worker_reports):
-            entry = {
-                "worker": i,
-                "restarts": self.restarts[i] if i < len(self.restarts) else 0,
-                "replayed": self.replayed[i] if i < len(self.replayed) else 0,
-                "report": None,
-            }
-            if rep is not None:
-                entry["report"] = {
-                    k: rep.get(k)
-                    for k in ("incarnation", "pid", "requests", "columns",
-                              "rejected", "failed", "streams", "cpu_seconds",
-                              "busy_seconds", "wall_seconds", "build_seconds",
-                              "warmup_seconds", "warm_sources", "qos")
-                }
-            per_worker.append(entry)
-        return {
-            "status": self.status,
-            "workers": self.workers,
-            "requests": self.requests,
-            "served": len(self.served),
-            "rejected": len(self.rejected),
-            "failed": len(self.failed),
-            "columns": self.columns,
-            "wall_seconds": self.wall_seconds,
-            "columns_per_second": self.columns_per_second,
-            "requests_per_second": self.requests_per_second,
-            "capacity_columns_per_second": self.capacity_columns_per_second,
-            "critical_path_cpu_seconds": self.critical_path_cpu_seconds,
-            "latency_seconds": self.latency_quantiles(),
-            "restarts": list(self.restarts),
-            "restart_total": self.restart_total,
-            "streams": {s: len(ts) for s, ts in sorted(self.streams.items())},
-            "per_worker": per_worker,
-        }
-
-    def to_json(self) -> dict:
-        return json_safe(self.summary())
-
-
 class FleetDispatcher:
     """Front end of the worker fleet: shard, collect, supervise, merge.
 
     Lifecycle is one-shot, like the routers: construct (spawns and warms
     every worker, blocking until all are ready), ``submit`` any number of
-    requests, then ``join()`` to drain and get the :class:`FleetReport` —
+    requests, then ``join()`` to drain and get the fleet's
+    :class:`~repro.serve.report.ServeReport` —
     or ``close()`` to abort.  ``submit`` routes by *stream*: all requests
     of one stream go to :func:`stream_shard`'s slot in submission order,
     which is what keeps per-stream outputs bitwise identical to a
@@ -691,9 +452,13 @@ class FleetDispatcher:
             "burn_threshold": burn_threshold,
         }
         self._lock = threading.RLock()
-        self._tickets: dict[int, FleetTicket] = {}
-        self._requests: dict[int, tuple] = {}  # req_id -> (model, stream, y0)
-        self._streams: dict[str, list[int]] = {}
+        #: req_id -> ticket; the ticket's ``aid`` is its req_id
+        self._tickets: dict[int, Ticket] = {}
+        #: (model, stream) -> tickets in submit order, as the worker's lanes
+        #: key them; replay re-sends a lane's tickets from their ``y0``
+        self._lanes: dict[tuple[str, str], list[Ticket]] = {}
+        #: req_ids a worker's router turned away (vs failed after accepting)
+        self._rejected: set[int] = set()
         self._next_req = 0
         self._outstanding = 0
         self._all_done = threading.Event()
@@ -702,7 +467,7 @@ class FleetDispatcher:
         self._last_resolve: float | None = None
         self._closed = False
         self._draining = False
-        self._report: FleetReport | None = None
+        self._report: ServeReport | None = None
         self._stop = threading.Event()
 
         self._slots = [_WorkerSlot(i) for i in range(self.workers)]
@@ -737,7 +502,6 @@ class FleetDispatcher:
         slot.result_q = self._ctx.Queue()
         slot.heartbeat = self._ctx.Value("d", 0.0, lock=False)
         slot.ready = threading.Event()
-        slot.ready_info = {}
         slot.report = None
         slot.report_event = threading.Event()
         slot.obs_port = None
@@ -756,13 +520,14 @@ class FleetDispatcher:
         """Slot index the stream is (and will always be) sharded to."""
         return stream_shard(stream, self.workers)
 
-    def submit(self, model: str, y0, stream: str | None = None) -> FleetTicket:
-        """Route one request to its stream's worker; returns a future ticket.
+    def submit(self, model: str, y0, stream: str | None = None) -> Ticket:
+        """Route one request to its stream's worker; returns its ticket.
 
         ``stream`` defaults to the model name — single-stream tenants shard
         whole.  Input validation happens worker-side (the dispatcher holds
-        no network), so a malformed request resolves as *rejected* rather
-        than raising here.
+        no network), so a malformed request resolves as *rejected*, its
+        ticket carrying the worker's :class:`~repro.errors.ShapeError`,
+        rather than raising here.
         """
         if model not in self._names:
             raise ConfigError(
@@ -779,30 +544,31 @@ class FleetDispatcher:
                 raise ServeClosedError("fleet is draining; request not accepted")
             req_id = self._next_req
             self._next_req += 1
-            ids = self._streams.setdefault(stream, [])
-            ticket = FleetTicket(
-                req_id, model, stream, index=len(ids),
-                submitted_at=time.perf_counter(),
-            )
+            lane = self._lanes.setdefault((model, stream), [])
+            # the workers' batchers stamp time.monotonic too: the clock is
+            # system-wide, so a shipped packed_at lines up with submitted_at
+            ticket = Ticket(y0, time.monotonic(), aid=req_id)
+            ticket.stream, ticket.index = stream, len(lane)
             if self._first_submit is None:
                 self._first_submit = ticket.submitted_at
             self._tickets[req_id] = ticket
-            self._requests[req_id] = (model, stream, y0)
-            ids.append(req_id)
+            lane.append(ticket)
             self._outstanding += 1
             self._all_done.clear()
             slot = self._slots[self.worker_for(stream)]
             if slot.dead:
                 self._resolve(
-                    req_id, worker=slot.index,
-                    error=f"worker {slot.index} exceeded its restart budget",
+                    ticket, slot.index,
+                    error=WorkerCrashError(
+                        f"worker {slot.index} exceeded its restart budget"
+                    ),
                 )
             elif not slot.paused:
                 slot.task_q.put(("req", req_id, model, stream, y0))
             # paused slots get this request through the restart replay scan
         return ticket
 
-    def serve(self, requests) -> FleetReport:
+    def serve(self, requests) -> ServeReport:
         """Submit ``(model, y0)`` / ``(model, stream, y0)`` items and join."""
         from repro.serve.router import _unpack_request
 
@@ -840,36 +606,40 @@ class FleetDispatcher:
         if incarnation != slot.incarnation:
             return  # stale message from a dead incarnation
         if kind == "ready":
-            slot.ready_info = msg[2]
-            slot.obs_port = msg[2].get("obs_port")
+            slot.obs_port = msg[2]
             slot.ready.set()
         elif kind == "result":
-            payload = msg[3]
+            self._resolve(self._tickets[msg[2]], slot.index, **msg[3])
+        elif kind in ("reject", "failed"):
             self._resolve(
-                msg[2], worker=slot.index, y=payload.pop("y"),
-                categories=payload.pop("categories"), info=payload,
+                self._tickets[msg[2]], slot.index,
+                error=_rebuild_error(msg[3], msg[4]), rejected=kind == "reject",
             )
-        elif kind == "reject":
-            self._resolve(msg[2], worker=slot.index, error=msg[3], rejected=True)
-        elif kind == "failed":
-            self._resolve(msg[2], worker=slot.index, error=msg[3])
         elif kind == "report":
             slot.report = msg[2]
             slot.report_event.set()
         elif kind == "fatal":
             slot.fatal = msg[2]
 
-    def _resolve(self, req_id: int, **kwargs) -> None:
-        """Resolve one ticket (first resolution wins); the lock is re-entrant."""
+    def _resolve(self, ticket: Ticket, worker: int, error: BaseException | None = None,
+                 rejected: bool = False, **block_fields) -> None:
+        """Resolve ``ticket`` with a result message's block fields or an
+        error.  A replayed duplicate is dropped here, under the (re-entrant)
+        lock, so the ticket's exactly-once guard holds as in-process."""
         with self._lock:
-            ticket = self._tickets.get(req_id)
-            if ticket is None:
+            if ticket.done:
                 return
-            if ticket._resolve(time.perf_counter(), **kwargs):
-                self._last_resolve = ticket.resolved_at
-                self._outstanding -= 1
-                if self._outstanding == 0:
-                    self._all_done.set()
+            ticket.worker = worker
+            for name, value in block_fields.items():
+                setattr(ticket, name, value)
+            if rejected:
+                self._rejected.add(ticket.aid)
+            ticket._resolve(time.monotonic(), error=error)
+            ticket._done.set()
+            self._last_resolve = ticket.completed_at
+            self._outstanding -= 1
+            if self._outstanding == 0:
+                self._all_done.set()
 
     # ------------------------------------------------------------ supervisor
     def _supervise_loop(self) -> None:
@@ -892,11 +662,12 @@ class FleetDispatcher:
                 if crashed:
                     self._handle_crash(slot)
 
-    def _shard_streams(self, slot: _WorkerSlot) -> list[str]:
-        """Streams hashed to this slot, in first-submission order."""
+    def _shard_lanes(self, slot: _WorkerSlot) -> list[tuple[tuple[str, str], list]]:
+        """``((model, stream), tickets)`` lanes hashed to this slot, in
+        first-submission order."""
         return [
-            stream for stream in self._streams
-            if self.worker_for(stream) == slot.index
+            (key, tickets) for key, tickets in self._lanes.items()
+            if self.worker_for(key[1]) == slot.index
         ]
 
     def _handle_crash(self, slot: _WorkerSlot) -> None:
@@ -907,16 +678,13 @@ class FleetDispatcher:
             if slot.restarts > self.max_restarts:
                 slot.dead = True
                 slot.paused = False
-                for stream in self._shard_streams(slot):
-                    for req_id in self._streams[stream]:
-                        self._resolve(
-                            req_id, worker=slot.index,
-                            error=(
-                                f"worker {slot.index} crashed "
-                                f"{slot.restarts} times; restart budget "
-                                f"({self.max_restarts}) exhausted"
-                            ),
-                        )
+                error = WorkerCrashError(
+                    f"worker {slot.index} crashed {slot.restarts} times; "
+                    f"restart budget ({self.max_restarts}) exhausted"
+                )
+                for _, tickets in self._shard_lanes(slot):
+                    for ticket in tickets:
+                        self._resolve(ticket, slot.index, error=error)
                 return
             slot.paused = True
             self._spawn(slot)
@@ -931,17 +699,15 @@ class FleetDispatcher:
             return
         with self._lock:
             replayed = 0
-            for stream in self._shard_streams(slot):
-                ids = self._streams[stream]
-                if all(self._tickets[r].done for r in ids):
+            for (model, stream), tickets in self._shard_lanes(slot):
+                if all(t.done for t in tickets):
                     continue  # fully banked; nothing to recover
-                # replay the WHOLE stream: packing of the unresolved tail
+                # replay the WHOLE lane: packing of the unresolved tail
                 # depends on the resolved prefix (block composition), and
                 # warm outputs are state-independent, so re-serving the
-                # prefix yields duplicate — ignored — identical results
-                for req_id in ids:
-                    model, s, y0 = self._requests[req_id]
-                    slot.task_q.put(("req", req_id, model, s, y0))
+                # prefix yields duplicate — dropped — identical results
+                for ticket in tickets:
+                    slot.task_q.put(("req", ticket.aid, model, stream, ticket.y0))
                     replayed += 1
             slot.replayed += replayed
             slot.paused = False
@@ -962,15 +728,25 @@ class FleetDispatcher:
         return process.pid
 
     # ------------------------------------------------------------- shutdown
-    def join(self, timeout: float | None = 300.0) -> FleetReport:
-        """Drain every worker, collect reports, stop the fleet, and report."""
+    def _command_workers(self, command: str) -> bool:
+        """Send ``command`` ('drain' or 'abort') to every live worker and
+        stop accepting submits; False once the fleet has already reported."""
         with self._lock:
             if self._report is not None:
-                return self._report
+                return False
             self._draining = True
             for slot in self._slots:
                 if not slot.dead and not slot.paused:
-                    slot.task_q.put(("drain",))
+                    try:
+                        slot.task_q.put((command,))
+                    except Exception:
+                        pass
+        return True
+
+    def join(self, timeout: float | None = 300.0) -> ServeReport:
+        """Drain every worker, collect reports, stop the fleet, and report."""
+        if not self._command_workers("drain"):
+            return self._report
         deadline = None if timeout is None else time.monotonic() + timeout
         self._wait(self._all_done, deadline)
         for slot in self._slots:
@@ -980,25 +756,17 @@ class FleetDispatcher:
                 None if deadline is None else max(deadline - time.monotonic(), 0.1)
             )
             slot.report_event.wait(remaining)
-        return self._shutdown(abort=False)
+        return self._shutdown()
 
     def close(self, drain: bool = False,
-              timeout: float | None = 300.0) -> FleetReport:
+              timeout: float | None = 300.0) -> ServeReport:
         """Abort (default) or drain-and-stop; idempotent."""
         if drain:
             return self.join(timeout)
-        with self._lock:
-            if self._report is not None:
-                return self._report
-            self._draining = True
-            for slot in self._slots:
-                if not slot.dead and not slot.paused:
-                    try:
-                        slot.task_q.put(("abort",))
-                    except Exception:
-                        pass
+        if not self._command_workers("abort"):
+            return self._report
         time.sleep(0.2)  # give workers a moment to ship abort reports
-        return self._shutdown(abort=True)
+        return self._shutdown()
 
     def _wait(self, event: threading.Event, deadline: float | None) -> bool:
         if deadline is None:
@@ -1016,7 +784,7 @@ class FleetDispatcher:
                 process.kill()
                 process.join(timeout=5.0)
 
-    def _shutdown(self, abort: bool) -> FleetReport:
+    def _shutdown(self) -> ServeReport:
         self._stop.set()
         self._teardown_processes()
         if self._collector.is_alive():
@@ -1028,27 +796,33 @@ class FleetDispatcher:
             slot.result_q = None
         with self._lock:
             self._closed = True
-            error = "fleet aborted before this request resolved"
+            error = WorkerCrashError("fleet aborted before this request resolved")
             for ticket in self._tickets.values():
-                if not ticket.done:
-                    self._resolve(ticket.req_id, error=error)
-            report = FleetReport(workers=self.workers)
-            report.restarts = [slot.restarts for slot in self._slots]
-            report.replayed = [slot.replayed for slot in self._slots]
-            report.worker_reports = [slot.report for slot in self._slots]
-            for req_id in sorted(self._tickets):
-                ticket = self._tickets[req_id]
-                if ticket.ready:
-                    report.served.append(ticket)
-                elif ticket.rejected:
-                    report.rejected.append((req_id, ticket.error))
-                else:
-                    report.failed.append((req_id, ticket.error))
-                report.streams.setdefault(ticket.stream, []).append(ticket)
+                self._resolve(ticket, None, error=error)
+            wall_seconds = 0.0
             if self._first_submit is not None and self._last_resolve is not None:
-                report.wall_seconds = self._last_resolve - self._first_submit
-            self._report = report
-            return report
+                wall_seconds = self._last_resolve - self._first_submit
+            per_model: dict[str, ServeReport] = {}
+            streams: dict[str, int] = {}
+            for (model, stream), tickets in self._lanes.items():
+                streams[stream] = streams.get(stream, 0) + len(tickets)
+                per = per_model.setdefault(model, ServeReport(wall_seconds=wall_seconds))
+                for ticket in tickets:
+                    if ticket.ready:
+                        per.served.append(ticket)
+                    else:
+                        outcome = per.rejected if ticket.aid in self._rejected else per.failed
+                        outcome.append((ticket.aid, str(ticket.error)))
+            self._report = ServeReport.of_tenants(
+                per_model,
+                wall_seconds=wall_seconds,
+                workers=self.workers,
+                restarts=[slot.restarts for slot in self._slots],
+                replayed=[slot.replayed for slot in self._slots],
+                worker_reports=[slot.report for slot in self._slots],
+                streams=streams,
+            )
+            return self._report
 
     def __enter__(self) -> "FleetDispatcher":
         return self
@@ -1088,13 +862,6 @@ class FleetDispatcher:
             if text:
                 texts[str(slot.index)] = text
         return merge_prometheus(texts)
-
-    def merged_metrics_snapshot(self) -> dict:
-        """Merged JSON metric snapshot from the workers' final reports."""
-        return merge_snapshots({
-            str(slot.index): (slot.report or {}).get("metrics") or {}
-            for slot in self._slots
-        })
 
     def merged_slo(self) -> dict:
         """Per-tenant-per-worker SLO blocks, keyed ``model@worker``."""
@@ -1165,7 +932,7 @@ class FleetDispatcher:
                 "closed": self._closed,
                 "outstanding": self._outstanding,
                 "streams": {
-                    stream: self.worker_for(stream) for stream in self._streams
+                    stream: self.worker_for(stream) for _, stream in self._lanes
                 },
                 "slots": [
                     {

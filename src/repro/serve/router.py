@@ -54,25 +54,22 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigError, ServeClosedError, ServeOverflowError
 from repro.gpu.memory import MemoryBudget
 from repro.obs import MetricsRegistry
-from repro.obs.export import json_safe
 from repro.obs.slo import SloPolicy, SloTracker
 from repro.serve.batcher import MicroBatcher, Ticket, validate_request
 from repro.serve.qos import AdmissionController, DeficitScheduler, QosPolicy
+from repro.serve.report import ServeReport
 from repro.serve.session import EngineSession
 
 __all__ = [
     "ModelRegistry",
     "Router",
     "AsyncRouter",
-    "RouterReport",
-    "ServeReport",
     "BACKPRESSURE_POLICIES",
 ]
 
@@ -273,15 +270,9 @@ class ModelRegistry:
         """The tenant's tracker, or ``None`` when it has no SLO policy."""
         return self._slo.get(name)
 
-    def slo_report(self) -> dict:
-        """Live :class:`~repro.obs.slo.SloReport` per policied tenant."""
-        return {name: tracker.report() for name, tracker in self._slo.items()}
-
     def slo_report_json(self) -> dict:
         """JSON-safe ``/slo`` payload: one report block per policied tenant."""
-        return {
-            name: report.to_json() for name, report in self.slo_report().items()
-        }
+        return {name: tracker.report().to_json() for name, tracker in self._slo.items()}
 
     # ------------------------------------------------------------------ QoS
     def qos_policy(self, name: str) -> QosPolicy:
@@ -382,217 +373,6 @@ class ModelRegistry:
             f"ModelRegistry(models={sorted(self._sessions)}, "
             f"retained={self.budget.retained_bytes})"
         )
-
-
-@dataclass
-class ServeReport:
-    """Outcome of one tenant's request stream through a router.
-
-    ``exec_seconds`` is the time spent packing and executing the tenant's
-    blocks, ``arrival_seconds`` the injected interarrival sleep of an
-    open-loop stream.  On the async transport ``overlap_fraction`` near 1.0
-    means the engine stayed busy for the whole stream — arrivals were fully
-    hidden behind execution — and near 0.0 that the worker mostly waited
-    for traffic; on the sync transport, where the caller's thread executes,
-    it is simply the busy share of the stream.
-    """
-
-    served: list = field(default_factory=list)
-    #: (stream index, error message) per rejected request — never silent
-    rejected: list[tuple[int, str]] = field(default_factory=list)
-    #: (stream index, error message) per accepted-then-failed request
-    failed: list[tuple[int, str]] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    exec_seconds: float = 0.0
-    arrival_seconds: float = 0.0
-
-    @property
-    def requests(self) -> int:
-        return len(self.served) + len(self.rejected) + len(self.failed)
-
-    @property
-    def columns(self) -> int:
-        return sum(t.columns for t in self.served)
-
-    @property
-    def requests_per_second(self) -> float:
-        return len(self.served) / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def columns_per_second(self) -> float:
-        return self.columns / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def overlap_fraction(self) -> float:
-        return self.exec_seconds / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def status(self) -> str:
-        """``'ok'``, ``'all_rejected'``, ``'all_failed'``, or ``'no_traffic'``.
-
-        A zero ``requests_per_second`` is ambiguous on its own: an idle
-        stream and a stream shed entirely by backpressure both report 0.0.
-        The status names which one happened, so dashboards and tests can
-        tell "nothing arrived" from "everything was turned away" (or
-        accepted and then failed).
-        """
-        if self.requests == 0:
-            return "no_traffic"
-        if not self.served:
-            return "all_rejected" if not self.failed else "all_failed"
-        return "ok"
-
-    def latency_quantiles(self, qs=(0.5, 0.95, 0.99, 1.0)) -> dict[str, float] | None:
-        """Latency quantiles of served requests; ``None`` when none served
-        (an all-rejected or idle stream has no latencies, not zero ones)."""
-        if not self.served:
-            return None
-        lat = np.array([t.latency_seconds for t in self.served])
-        return {f"p{int(q * 100)}": float(np.quantile(lat, q)) for q in qs}
-
-    def summary(self) -> dict:
-        return {
-            "status": self.status,
-            "requests": self.requests,
-            "served": len(self.served),
-            "rejected": len(self.rejected),
-            "failed": len(self.failed),
-            "columns": self.columns,
-            "wall_seconds": self.wall_seconds,
-            "requests_per_second": self.requests_per_second,
-            "columns_per_second": self.columns_per_second,
-            "latency_seconds": self.latency_quantiles(),
-            "exec_seconds": self.exec_seconds,
-            "arrival_seconds": self.arrival_seconds,
-            "overlap_fraction": self.overlap_fraction,
-        }
-
-    def to_json(self) -> dict:
-        """:meth:`summary` with every value coerced JSON-serializable.
-
-        The quantiles come out of ``np.quantile`` as numpy scalars; this is
-        the path report consumers (bench records, the ``/slo`` endpoint)
-        must use before ``json.dumps``.
-        """
-        return json_safe(self.summary())
-
-
-@dataclass
-class RouterReport:
-    """Outcome of one mixed-traffic stream, per tenant plus merged.
-
-    The merged view honors each tenant's own
-    :attr:`ServeReport.status` instead of judging
-    globally: an idle tenant (``no_traffic``) does not drag a healthy run,
-    and one fully-shed tenant does not hide behind another's successes —
-    mixed outcomes merge to ``'degraded'``, not ``'ok'``.
-    """
-
-    per_model: dict[str, ServeReport] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    #: seconds spent packing and executing blocks, all tenants
-    exec_seconds: float = 0.0
-    #: tenants demoted warm-to-cold by budget enforcement during the stream
-    demoted: list[str] = field(default_factory=list)
-    #: per-tenant SLO evaluation (JSON blocks from the registry's trackers);
-    #: ``None`` when no tenant carries a policy
-    slo: dict[str, dict] | None = None
-
-    # ----------------------------------------------------------- aggregates
-    @property
-    def requests(self) -> int:
-        return sum(r.requests for r in self.per_model.values())
-
-    @property
-    def served(self) -> int:
-        return sum(len(r.served) for r in self.per_model.values())
-
-    @property
-    def rejected(self) -> int:
-        return sum(len(r.rejected) for r in self.per_model.values())
-
-    @property
-    def columns(self) -> int:
-        return sum(r.columns for r in self.per_model.values())
-
-    @property
-    def columns_per_second(self) -> float:
-        return self.columns / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    @property
-    def status(self) -> str:
-        """Merged health: per-tenant statuses folded without masking.
-
-        ``no_traffic`` tenants are excluded from the judgment (idle is not
-        unhealthy); among the active ones, all-ok merges to ``'ok'``, all
-        turned-away (rejected or failed) to ``'all_rejected'``, and any mix
-        to ``'degraded'``.  No active tenant at all is ``'no_traffic'``.
-        """
-        active = [
-            r.status for r in self.per_model.values() if r.status != "no_traffic"
-        ]
-        if not active:
-            return "no_traffic"
-        if all(s == "ok" for s in active):
-            return "ok"
-        if all(s in ("all_rejected", "all_failed") for s in active):
-            return "all_rejected"
-        return "degraded"
-
-    def latency_quantiles(self, qs=(0.5, 0.95, 0.99, 1.0)) -> dict[str, float] | None:
-        """Pooled quantiles over every tenant that actually served.
-
-        Pooling is the *merged* view only — a quiet fast tenant and a
-        saturated slow one average into a number that describes neither, so
-        anything judging tenant health must read
-        :meth:`per_model_quantiles` instead.
-
-        Tenants with nothing served contribute no samples (their ``None``
-        is not coerced to zero); with no served request anywhere the merged
-        view is ``None`` too, mirroring the single-tenant contract.
-        """
-        lat = [
-            t.latency_seconds
-            for report in self.per_model.values()
-            for t in report.served
-        ]
-        if not lat:
-            return None
-        arr = np.array(lat)
-        return {f"p{int(q * 100)}": float(np.quantile(arr, q)) for q in qs}
-
-    def per_model_quantiles(
-        self, qs=(0.5, 0.95, 0.99, 1.0)
-    ) -> dict[str, dict[str, float] | None]:
-        """Each tenant's own latency quantiles — the unmasked per-tail view."""
-        return {
-            name: report.latency_quantiles(qs)
-            for name, report in self.per_model.items()
-        }
-
-    def summary(self) -> dict:
-        out = {
-            "status": self.status,
-            "requests": self.requests,
-            "served": self.served,
-            "rejected": self.rejected,
-            "columns": self.columns,
-            "wall_seconds": self.wall_seconds,
-            "columns_per_second": self.columns_per_second,
-            "latency_seconds": self.latency_quantiles(),
-            "latency_seconds_per_model": self.per_model_quantiles(),
-            "demoted": list(self.demoted),
-            "models": {
-                name: report.summary() for name, report in self.per_model.items()
-            },
-        }
-        if self.slo is not None:
-            out["slo"] = self.slo
-        return out
-
-    def to_json(self) -> dict:
-        """:meth:`summary` coerced JSON-serializable (numpy scalars included)."""
-        return json_safe(self.summary())
 
 
 class _Lane:
@@ -782,7 +562,7 @@ class _RouterCore:
         """Resolve everything :meth:`serve` submitted."""
         raise NotImplementedError
 
-    def serve(self, requests, interarrivals=None) -> RouterReport:
+    def serve(self, requests, interarrivals=None) -> ServeReport:
         """Run a stream of ``(model, y0)`` or ``(model, stream, y0)`` to the end.
 
         Rejected requests (overflow, shed, closed) are recorded with their
@@ -794,14 +574,14 @@ class _RouterCore:
         submit.  The sync router cannot overlap those gaps with block
         execution; the async worker keeps executing through them.
         """
-        report = RouterReport()
+        per_model: dict[str, ServeReport] = {}
         demotions_before = len(self.registry.demotions)
         gaps = iter(interarrivals) if interarrivals is not None else None
         tickets: list[tuple[ServeReport, int, object]] = []
         t0 = time.perf_counter()
         for index, item in enumerate(requests):
             model, stream, y0 = _unpack_request(item)
-            per = report.per_model.setdefault(model, ServeReport())
+            per = per_model.setdefault(model, ServeReport())
             if gaps is not None:
                 gap = float(next(gaps, 0.0))
                 if gap > 0:
@@ -813,7 +593,7 @@ class _RouterCore:
                 per.rejected.append((index, str(exc)))
             self._tick()
         self._finish()
-        report.wall_seconds = time.perf_counter() - t0
+        wall_seconds = time.perf_counter() - t0
         for per, index, ticket in tickets:
             if ticket.failed:
                 per.failed.append((index, str(ticket.error)))
@@ -821,13 +601,16 @@ class _RouterCore:
                 per.served.append(ticket)
         with self._lock:
             lanes = list(self._lanes.values())
-        for model, per in report.per_model.items():
-            per.wall_seconds = report.wall_seconds
+        for model, per in per_model.items():
+            per.wall_seconds = wall_seconds
             per.exec_seconds = sum(ln.exec_seconds for ln in lanes if ln.model == model)
-        report.exec_seconds = self.exec_seconds
-        report.demoted = self.registry.demotions[demotions_before:]
-        report.slo = self.registry.slo_report_json() or None
-        return report
+        return ServeReport.of_tenants(
+            per_model,
+            wall_seconds=wall_seconds,
+            exec_seconds=self.exec_seconds,
+            demoted=self.registry.demotions[demotions_before:],
+            slo=self.registry.slo_report_json() or None,
+        )
 
     def stats(self) -> dict:
         with self._lock:

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core.config import SNICITConfig
 from repro.core.reuse import CentroidCache
-from repro.gpu.device import VirtualDevice
 from repro.gpu.memory import BufferPool
 from repro.harness.runner import make_engine
 from repro.inference import InferenceResult
@@ -41,9 +40,6 @@ class EngineSession:
         SNICIT parameters (required for ``kind='snicit'``).
     kind:
         Engine name as accepted by :func:`repro.harness.runner.make_engine`.
-    device:
-        Shared virtual device; a fresh one by default so the session's cost
-        ledger spans its whole lifetime.
     warm:
         Pre-build the per-layer ELL/dense weight views at construction
         (``warmup_seconds`` records the cost).  With ``False`` the views are
@@ -84,7 +80,6 @@ class EngineSession:
         network: SparseNetwork,
         config: SNICITConfig | None = None,
         kind: str = "snicit",
-        device: VirtualDevice | None = None,
         warm: bool = True,
         tracer=None,
         metrics: MetricsRegistry | None = None,
@@ -95,7 +90,6 @@ class EngineSession:
         self.network = network
         self.kind = kind
         self.name = name
-        self.device = device or VirtualDevice()
         self.tracer = as_tracer(tracer)
         self.metrics = MetricsRegistry() if metrics is None else metrics
         #: the session's metric surface: a per-tenant labeled view when

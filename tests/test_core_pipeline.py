@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import DenseReference
 from repro.core import SNICIT, SNICITConfig
 from repro.errors import ConfigError
+from repro.obs import Tracer
 from repro.radixnet import build_benchmark, benchmark_input
 
 
@@ -68,7 +69,10 @@ def test_degenerate_threshold_skips_stages_2_to_4(bench):
 
     net, y0, _ = bench
     dev = VirtualDevice()
-    res = SNICIT(net, SNICITConfig(threshold_layer=net.num_layers), device=dev).infer(y0)
+    tracer = Tracer()
+    res = SNICIT(
+        net, SNICITConfig(threshold_layer=net.num_layers), device=dev, tracer=tracer
+    ).infer(y0)
     ff = XY2021(net).infer(y0)
     assert np.array_equal(res.y, ff.y)  # bitwise: same kernels, same order
 
@@ -77,7 +81,9 @@ def test_degenerate_threshold_skips_stages_2_to_4(bench):
     assert len(res.stats["active_columns_trace"]) == 0
 
     # cost model saw nothing but pre-convergence spMM kernels
-    assert {c.name for c in dev.cost.history} == {"pre_spmm"}
+    kernels = [s.args["kernel"] for s in tracer.spans if "kernel" in s.args]
+    assert set(kernels) == {"pre_spmm"}
+    assert dev.snapshot().launches == len(kernels)
     for stage in ("conversion", "post_convergence", "recovery"):
         assert res.stage_seconds[stage] == 0.0
         snap = res.modeled[stage]

@@ -32,7 +32,13 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ServeClosedError
+from repro.errors import (
+    ConfigError,
+    ReproError,
+    ServeClosedError,
+    ServeShedError,
+    ShapeError,
+)
 from repro.harness.experiments.common import sdgc_config
 from repro.obs.merge import inject_label, merge_prometheus, merge_snapshots
 from repro.radixnet import benchmark_input, build_benchmark
@@ -40,6 +46,8 @@ from repro.serve import AsyncRouter, EngineSession, ModelRegistry
 from repro.serve.fleet import (
     FleetDispatcher,
     TenantSpec,
+    WorkerCrashError,
+    _rebuild_error,
     stream_shard,
 )
 
@@ -114,6 +122,13 @@ def test_tenant_spec_picklable_and_deterministic():
     w_a, w_b = net_a.layers[0].weight, net_b.layers[0].weight
     assert w_a.nnz == w_b.nnz
     assert np.array_equal(w_a.data, w_b.data)
+
+
+def test_worker_errors_rebuild_as_their_own_class():
+    assert type(_rebuild_error("ShapeError", "bad")) is ShapeError
+    assert type(_rebuild_error("ServeShedError", "bad")) is ServeShedError
+    unknown = _rebuild_error("ValueError", "bad")
+    assert type(unknown) is ReproError and str(unknown) == "ValueError: bad"
 
 
 def test_inject_label_forms():
@@ -232,11 +247,14 @@ def test_fleet_report_merges_worker_views(fleet_run):
     summary = report.summary()
     assert summary["served"] == len(fleet_run["items"])
     json.dumps(report.to_json())  # JSON-safe end to end
-    # tickets carry worker-side telemetry across the process boundary
+    # tickets carry the worker's block fields across the process boundary
     ticket = report.served[0]
     assert ticket.worker in (0, 1)
-    assert ticket.info["batch_columns"] <= 4 * 2  # max_batch blocks only
-    assert "breakdown" in ticket.info
+    assert ticket.batch_columns <= 4 * 2  # max_batch blocks only
+    breakdown = ticket.breakdown()
+    assert breakdown["block_id"] >= 1 and breakdown["execute_seconds"] > 0
+    assert 0 <= breakdown["batch_wait_seconds"] <= ticket.latency_seconds
+    assert set(breakdown["stage_seconds"]) >= {"pre_convergence", "recovery"}
 
 
 def test_fleet_merged_scrape_keeps_workers_separable(fleet_run):
@@ -261,6 +279,41 @@ def test_fleet_rejects_bad_submits(fleet_run):
         fleet.submit("m", np.zeros((4, 1)))  # fleet already drained
     # join after the fact returns the same report object, idempotently
     assert fleet.join() is fleet_run["report"]
+
+
+def test_fleet_rejection_keeps_the_worker_error_type():
+    """A bad-shape request raises the worker's ShapeError from ``.y`` — the
+    error an in-process submit raises — and counts as rejected, not as a
+    worker crash; its stream-mate still serves."""
+    net = build_benchmark(BENCH, seed=0)
+    registry = ModelRegistry()
+    registry.register("m", net, config=sdgc_config(net.num_layers))
+    with pytest.raises(ShapeError):
+        AsyncRouter(registry).submit("m", np.zeros((7, 2)))
+
+    fleet = FleetDispatcher(
+        [TenantSpec("m", BENCH)], workers=1, max_batch=4, max_wait_s=WAIT,
+        start_timeout=180.0,
+    )
+    try:
+        bad = fleet.submit("m", np.zeros((7, 2)), stream="s")
+        good = fleet.submit("m", benchmark_input(net, 2, seed=1), stream="s")
+        report = fleet.join()
+    finally:
+        fleet.close()
+    assert bad.wait(WAIT) and bad.failed and not bad.ready
+    assert isinstance(bad.error, ShapeError)
+    assert not isinstance(bad.error, WorkerCrashError)
+    with pytest.raises(ShapeError):
+        bad.y
+    with pytest.raises(ShapeError):
+        bad.categories
+    assert bad.result is None  # the block's InferenceResult stays in the worker
+    assert good.ready and good.y.shape == (net.output_dim, 2)
+    assert (bad.stream, bad.index, good.index) == ("s", 0, 1)
+    assert len(report.rejected) == 1 and len(report.served) == 1
+    assert not report.failed and report.status == "ok"
+    assert "ShapeError" not in report.rejected[0][1]  # the type is the class now
 
 
 # -------------------------------------------------------------- supervision

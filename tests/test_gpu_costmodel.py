@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpu.costmodel import CostModel, CostSnapshot, KernelCharge
+from repro.obs import Tracer
 
 
 def test_kernel_time_compute_bound():
@@ -55,14 +56,22 @@ def test_reset_clears_everything():
     assert snap.launches == 0
     assert snap.flops == 0
     assert snap.modeled_seconds == 0
-    assert cm.history == ()
+    assert snap == CostSnapshot()
 
 
-def test_history_records_charges_in_order():
+def test_ledger_keeps_totals_and_spans_keep_charges():
+    """The ledger sums charges and keeps none of them: per-launch detail
+    lives on the tracer's kernel spans, in launch order."""
+    tracer = Tracer()
     cm = CostModel()
-    cm.charge_kernel(KernelCharge(name="first"))
-    cm.charge_kernel(KernelCharge(name="second"))
-    assert [c.name for c in cm.history] == ["first", "second"]
+    for name, flops in (("first", 1.0), ("second", 2.0)):
+        charge = KernelCharge(name=name, flops=flops)
+        with tracer.span(name, cat="kernel") as span:
+            span.charge(charge, cm.charge_kernel(charge))
+    snap = cm.snapshot()
+    assert snap.launches == 2 and snap.flops == 3.0
+    assert [s.args["kernel"] for s in tracer.find(cat="kernel")] == ["first", "second"]
+    assert not hasattr(cm, "history")
 
 
 def test_snapshot_bytes_total():

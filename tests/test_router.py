@@ -41,7 +41,6 @@ from repro.serve import (
     MicroBatcher,
     ModelRegistry,
     Router,
-    RouterReport,
     ServeReport,
 )
 
@@ -276,7 +275,8 @@ def test_sync_router_routes_by_name_and_rejects_per_lane():
     assert len(report.per_model["a"].served) == 2
     assert len(report.per_model["a"].rejected) == 1
     assert report.per_model["b"].status == "ok"
-    assert report.status == "ok" and report.served == 3 and report.rejected == 1
+    assert report.status == "ok"
+    assert len(report.served) == 3 and len(report.rejected) == 1
     for per in report.per_model.values():
         for ticket in per.served:
             assert np.array_equal(ticket.y, ticket.y0 * 2.0)
@@ -421,7 +421,7 @@ def test_mixed_traffic_outputs_bitwise_match_single_tenant(
     router = Router(registry, max_batch=8, max_wait_s=60.0, queue_limit=64)
     report = router.serve(iter(_chunked_mixed(streams, chunk=4)))
 
-    assert report.status == "ok" and report.rejected == 0
+    assert report.status == "ok" and not report.rejected
     for name in ("a", "b"):
         served = report.per_model[name].served
         assert len(served) == len(refs[name])
@@ -506,29 +506,31 @@ def _ok_report(latencies=(0.1,)):
 
 
 def test_router_report_status_excludes_idle_tenants():
-    report = RouterReport(per_model={"a": _ok_report(), "idle": ServeReport()})
+    report = ServeReport.of_tenants({"a": _ok_report(), "idle": ServeReport()})
     assert report.per_model["idle"].status == "no_traffic"
     assert report.status == "ok"  # an idle tenant does not drag a healthy run
 
 
 def test_router_report_status_merges_without_masking():
-    assert RouterReport().status == "no_traffic"
-    assert RouterReport(per_model={"a": ServeReport()}).status == "no_traffic"
+    assert ServeReport.of_tenants({}).status == "no_traffic"
+    assert ServeReport.of_tenants({"a": ServeReport()}).status == "no_traffic"
 
     shed = ServeReport(rejected=[(0, "full")])
     assert shed.status == "all_rejected"
     failed = ServeReport(failed=[(0, "boom")])
     assert failed.status == "all_failed"
-    # all active tenants turned away -> all_rejected, regardless of how
-    assert RouterReport(per_model={"a": shed, "b": failed}).status == "all_rejected"
+    # all active tenants turned away: the tenant rule applies to the pooled
+    # tickets, so any failure among them reads all_failed
+    assert ServeReport.of_tenants({"a": shed, "b": failed}).status == "all_failed"
+    assert ServeReport.of_tenants({"a": shed, "b": shed}).status == "all_rejected"
     # one healthy + one shed tenant is degraded, not ok: a fully-shed
     # tenant must not hide behind a neighbor's successes
-    mixed = RouterReport(per_model={"a": _ok_report(), "b": shed})
+    mixed = ServeReport.of_tenants({"a": _ok_report(), "b": shed})
     assert mixed.status == "degraded"
 
 
 def test_router_report_latency_pools_only_served_tenants():
-    report = RouterReport(per_model={
+    report = ServeReport.of_tenants({
         "a": _ok_report(latencies=(0.1, 0.3)),
         "b": ServeReport(rejected=[(0, "full")]),  # latency None, not zero
     })
@@ -537,13 +539,13 @@ def test_router_report_latency_pools_only_served_tenants():
     assert pooled["p50"] == pytest.approx(0.2)
     assert pooled["p100"] == pytest.approx(0.3)
     # nothing served anywhere: merged latency is None too
-    empty = RouterReport(per_model={"b": ServeReport(rejected=[(0, "full")])})
+    empty = ServeReport.of_tenants({"b": ServeReport(rejected=[(0, "full")])})
     assert empty.latency_quantiles() is None
 
 
 def test_router_report_aggregates_and_summary():
-    report = RouterReport(
-        per_model={
+    report = ServeReport.of_tenants(
+        {
             "a": ServeReport(
                 served=[_served_ticket(0.1, columns=2)], rejected=[(1, "full")]
             ),
@@ -553,8 +555,8 @@ def test_router_report_aggregates_and_summary():
         demoted=["a"],
     )
     assert report.requests == 3
-    assert report.served == 2
-    assert report.rejected == 1
+    assert len(report.served) == 2
+    assert len(report.rejected) == 1
     assert report.columns == 3
     assert report.columns_per_second == pytest.approx(1.5)
     summary = report.summary()
@@ -568,7 +570,7 @@ def test_router_report_aggregates_and_summary():
 def test_router_report_per_model_quantiles_unmask_pooled_tail():
     """Satellite regression: the pooled view averages a quiet slow tenant
     into a busy fast one; the per-model view must keep each tail visible."""
-    report = RouterReport(per_model={
+    report = ServeReport.of_tenants({
         "fast": _ok_report(latencies=(0.01,) * 99),
         "slow": _ok_report(latencies=(1.0,)),
         "shed": ServeReport(rejected=[(0, "full")]),
@@ -587,8 +589,8 @@ def test_router_report_per_model_quantiles_unmask_pooled_tail():
 def test_router_report_to_json_is_json_dumpable_with_numpy_and_slo():
     """Satellite regression: np.quantile emits numpy scalars; to_json must
     coerce them (and an embedded SLO block) before json.dumps."""
-    report = RouterReport(
-        per_model={"a": _ok_report(latencies=(0.1, 0.3))}, wall_seconds=1.0
+    report = ServeReport.of_tenants(
+        {"a": _ok_report(latencies=(0.1, 0.3))}, wall_seconds=1.0
     )
     report.slo = {"a": {"burn_rate": np.float64(0.25), "count": np.int64(2)}}
     summary = report.summary()
@@ -614,9 +616,15 @@ def test_registry_set_slo_validates_parses_and_evicts():
     assert tracker.policy.latency_target_s == pytest.approx(0.05)
     assert tracker.policy.window_s == 10.0
     assert "slo" in registry.stats()
+    tracker_ref = weakref.ref(tracker)
+    del tracker
     registry.evict("a")
     assert registry.slo_tracker("a") is None
     assert registry.slo_report_json() == {}
+    # the registry's scrape hook holds the evicted tracker only weakly
+    gc.collect()
+    assert tracker_ref() is None
+    registry.metrics.snapshot()  # a scrape after eviction still works
 
 
 def test_sync_router_feeds_slo_trackers_per_tenant():

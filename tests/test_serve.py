@@ -578,3 +578,55 @@ def test_serve_report_to_json_is_json_dumpable(bench):
     assert parsed["status"] == "ok"
     assert parsed["served"] == 2
     assert isinstance(parsed["latency_seconds"]["p99"], float)
+
+
+def _retained_growth(serve_block, blocks: int) -> int:
+    """Bytes still allocated (tracemalloc) after ``blocks`` more blocks."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    for _ in range(blocks):
+        serve_block()
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0] - before
+
+
+@pytest.mark.parametrize("path", ["session", "router_reuse"])
+def test_retained_memory_does_not_grow_with_traffic(bench, path):
+    """Serving N and then 2N more blocks retains the same bytes after warm-up.
+
+    Every engine charges ~100 kernels per block into its cost ledger; a
+    ledger that kept each charge grew by ~8 KB per 144-24 block, forever.
+    The slack below is a fixed few KB of allocator noise, not a per-block
+    allowance: a leak of even 1 KB per block fails the difference check.
+    """
+    import tracemalloc
+
+    net, cfg, y0 = bench
+    if path == "session":
+        session = make_session(bench)
+
+        def serve_block():
+            session.run(y0)
+    else:
+        registry = ModelRegistry()
+        registry.register("m", net, config=cfg, warm=True, centroid_reuse=True)
+        router = Router(registry, max_batch=64, max_wait_s=60.0)
+
+        def serve_block():
+            router.submit("m", y0[:, :32])
+            router.submit("m", y0[:, 32:])
+
+    blocks = 16
+    tracemalloc.start()
+    try:
+        for _ in range(4):  # warm-up: pools, windows and caches settle
+            serve_block()
+        grown_n = _retained_growth(serve_block, blocks)
+        grown_2n = _retained_growth(serve_block, 2 * blocks)
+    finally:
+        tracemalloc.stop()
+    assert grown_2n - grown_n < 12 * 1024, (grown_n, grown_2n)
+    assert grown_2n < 16 * 1024, (grown_n, grown_2n)
